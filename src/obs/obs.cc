@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <chrono>
 #include <fstream>
 #include <map>
@@ -151,8 +152,10 @@ HistSummary SummarizeCounts(const uint64_t counts[kHistBuckets], uint64_t count,
   if (count == 0) {
     return out;
   }
+  // Nearest rank, ceil(q * n) clamped to [1, n]: the same rank bench::ComputePercentiles
+  // and the ledger use, so a p99 over five samples is their max.
   auto rank_of = [&](double q) -> uint64_t {
-    uint64_t rank = static_cast<uint64_t>(q * static_cast<double>(count));
+    uint64_t rank = static_cast<uint64_t>(std::ceil(q * static_cast<double>(count)));
     return std::clamp<uint64_t>(rank, 1, count);
   };
   if (count <= reservoir.size()) {

@@ -724,13 +724,14 @@ SolveResult CdclBackend::DoCheck(TermFactory& factory, const std::vector<Term>& 
           }
         }
       }
+      const uint64_t mask = KeyMask(values);
       std::unordered_map<Term, Term> memo;
       std::unordered_map<Term, Term> atom_memo;
       Term branch_atom = nullptr;
       bool all_true = true;
       for (size_t ai = 0; ai < pending.size(); ++ai) {
         ++stats_.evaluations;
-        Term r = SubstFixpoint(factory, pending[ai], values, memo);
+        Term r = SubstFixpoint(factory, pending[ai], values, mask, mask, memo);
         if (r->IsBoolLit(true)) {
           continue;
         }

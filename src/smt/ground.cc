@@ -158,30 +158,13 @@ Term Grounder::Ground(Term t) {
   return result;
 }
 
-bool Grounder::IsGroundAtom(Term t) {
-  if (t->kind() == TermKind::kConst) {
-    return !t->sort()->is_array() && !t->sort()->is_tuple();
-  }
-  if (t->kind() == TermKind::kSelect) {
-    Term base = t->child(0);
-    return base->kind() == TermKind::kConst && IsGroundIndex(t->child(1)) &&
-           !t->sort()->is_tuple();
-  }
-  if (t->kind() == TermKind::kProj) {
-    Term cell = t->child(0);
-    return cell->kind() == TermKind::kSelect && cell->child(0)->kind() == TermKind::kConst &&
-           IsGroundIndex(cell->child(1));
-  }
-  return false;
-}
-
 void Grounder::CollectAtoms(Term grounded, std::vector<Term>* atoms) {
   std::unordered_set<Term> seen;
   auto walk = [&](Term t, auto&& self) -> void {
     if (!seen.insert(t).second) {
       return;
     }
-    if (IsGroundAtom(t)) {
+    if (t->is_ground_atom()) {
       atoms->push_back(t);
       return;
     }
@@ -266,14 +249,24 @@ std::string GroundAtomName(Term atom) {
   }
 }
 
-Term SubstGround(TermFactory& f, Term t, const std::unordered_map<Term, Term>& values,
-                 std::unordered_map<Term, Term>& memo) {
-  auto vit = values.find(t);
-  if (vit != values.end()) {
-    return vit->second;
+uint64_t KeyMask(const std::unordered_map<Term, Term>& values) {
+  uint64_t mask = 0;
+  for (const auto& [atom, value] : values) {
+    NOCTUA_DCHECK(atom->is_ground_atom());
+    mask |= atom->atom_mask();
   }
-  if (t->children().empty()) {
+  return mask;
+}
+
+Term SubstGround(TermFactory& f, Term t, const std::unordered_map<Term, Term>& values,
+                 uint64_t changed, std::unordered_map<Term, Term>& memo) {
+  if ((t->atom_mask() & changed) == 0) {
     return t;
+  }
+  if (t->is_ground_atom()) {
+    // Keys are ground atoms, and an atom's own children contain none.
+    auto vit = values.find(t);
+    return vit != values.end() ? vit->second : t;
   }
   auto it = memo.find(t);
   if (it != memo.end()) {
@@ -281,30 +274,42 @@ Term SubstGround(TermFactory& f, Term t, const std::unordered_map<Term, Term>& v
   }
   std::vector<Term> kids;
   kids.reserve(t->children().size());
-  bool changed = false;
+  bool changed_kid = false;
   for (Term c : t->children()) {
-    Term nc = SubstGround(f, c, values, memo);
-    changed = changed || nc != c;
+    Term nc = SubstGround(f, c, values, changed, memo);
+    changed_kid = changed_kid || nc != c;
     kids.push_back(nc);
   }
-  Term result = changed ? RebuildTerm(f, t, std::move(kids)) : t;
-  // The rebuilt term may expose an assigned atom (e.g. a fresh Select cell).
-  vit = values.find(result);
-  if (vit != values.end()) {
-    result = vit->second;
+  Term result = t;
+  if (changed_kid) {
+    result = RebuildTerm(f, t, std::move(kids));
+    // The rebuilt term may expose an assigned atom (e.g. a fresh Select cell).
+    if (result->is_ground_atom()) {
+      auto vit = values.find(result);
+      if (vit != values.end()) {
+        result = vit->second;
+      }
+    }
   }
   memo.emplace(t, result);
   return result;
 }
 
 Term SubstFixpoint(TermFactory& f, Term t, const std::unordered_map<Term, Term>& values,
-                   std::unordered_map<Term, Term>& memo) {
-  for (int round = 0; round < 16; ++round) {
-    Term r = SubstGround(f, t, values, memo);
+                   uint64_t fresh, uint64_t trail, std::unordered_map<Term, Term>& memo,
+                   bool* capped) {
+  uint64_t changed = fresh;
+  for (int round = 0; round < kSubstRounds; ++round) {
+    Term r = SubstGround(f, t, values, changed, memo);
     if (r == t) {
       return r;
     }
     t = r;
+    // A rebuilt term can contain cells that any earlier assignment already fixed.
+    changed = trail;
+  }
+  if (capped != nullptr) {
+    *capped = true;
   }
   return t;
 }
@@ -315,7 +320,7 @@ Term FindFirstAtom(Term t, std::unordered_map<Term, Term>& memo) {
     return it->second;
   }
   Term found = nullptr;
-  if (Grounder::IsGroundAtom(t)) {
+  if (t->is_ground_atom()) {
     found = t;
   } else {
     for (Term c : t->children()) {

@@ -10,6 +10,7 @@
 #ifndef SRC_SMT_GROUND_H_
 #define SRC_SMT_GROUND_H_
 
+#include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -27,12 +28,10 @@ class Grounder {
   // bound variables.
   Term Ground(Term t);
 
-  // Ground atoms of a grounded term, in deterministic first-occurrence order:
-  // scalar constants, Select(const, ground index), Proj(Select(const, ground index), i).
+  // Ground atoms of a grounded term (TermData::is_ground_atom), in deterministic
+  // first-occurrence order: scalar constants, Select(const, ground index),
+  // Proj(Select(const, ground index), i).
   static void CollectAtoms(Term grounded, std::vector<Term>* atoms);
-
-  // True if `t` is a ground atom in the sense above.
-  static bool IsGroundAtom(Term t);
 
   // Number of binder nodes this grounder expanded over their domains (memoized re-visits
   // of the same binder term do not recount). Observability reports this as
@@ -96,16 +95,38 @@ class IncrementalGrounder {
 // backend names model entries through this one function so models are comparable.
 std::string GroundAtomName(Term atom);
 
-// Multi-atom substitution with rebuild through the factory (simplifications re-fire).
-// Note that substituting a Ref-valued atom can *materialize* new ground atoms (assigning
-// x := #0 turns Select(data, x) into the cell Select(data, #0)), so callers must iterate
-// with the full assignment trail until a fixpoint is reached — or use SubstFixpoint.
-Term SubstGround(TermFactory& f, Term t, const std::unordered_map<Term, Term>& values,
-                 std::unordered_map<Term, Term>& memo);
+// The union of the atom masks of `values`' keys (every key must be a ground atom). Passed
+// as `changed` below, it makes the filter a no-op on the result: a subterm whose mask is
+// disjoint from it contains no key.
+uint64_t KeyMask(const std::unordered_map<Term, Term>& values);
 
-// Substitutes until no assigned atom remains reachable.
+// Multi-atom substitution with rebuild through the factory (simplifications re-fire).
+// Every key of `values` must be a ground atom (TermData::is_ground_atom). Substituting a
+// Ref-valued atom can *materialize* new ground atoms (assigning x := #0 turns
+// Select(data, x) into the cell Select(data, #0)), so callers must iterate with the full
+// assignment trail until a fixpoint is reached — or use SubstFixpoint.
+//
+// Any subterm whose atom_mask is disjoint from `changed` is returned untouched, without
+// a lookup or a visit. The result equals the unfiltered substitution (pointer-equal, with
+// the same factory calls in the same order) whenever every such subterm would have come
+// back unchanged anyway: always when `changed` covers KeyMask(values), and also when it
+// covers only the newly assigned atoms of a term that was already a fixpoint under the
+// older assignments. Under those conditions `memo` holds exact results, so one memo may
+// serve calls with different masks over the same `values`.
+Term SubstGround(TermFactory& f, Term t, const std::unordered_map<Term, Term>& values,
+                 uint64_t changed, std::unordered_map<Term, Term>& memo);
+
+// Rounds of SubstGround SubstFixpoint performs before giving up on a fixpoint.
+inline constexpr int kSubstRounds = 16;
+
+// Substitutes until no assigned atom remains reachable. Round 0 filters on `fresh`, every
+// later round on `trail` (which must cover KeyMask(values)): a rebuilt term can contain
+// cells that any assignment of the trail fixes. Pass fresh == trail unless `t` is known to
+// be a fixpoint under the assignments outside `fresh`. Sets `*capped` (when non-null) if
+// kSubstRounds rounds ran without reaching a fixpoint; the result is then not one.
 Term SubstFixpoint(TermFactory& f, Term t, const std::unordered_map<Term, Term>& values,
-                   std::unordered_map<Term, Term>& memo);
+                   uint64_t fresh, uint64_t trail, std::unordered_map<Term, Term>& memo,
+                   bool* capped = nullptr);
 
 // First ground atom in DFS order, memoized (nullptr when the term contains none). This is
 // the shared branching heuristic: backends decide atoms that survive in simplified

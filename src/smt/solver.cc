@@ -273,6 +273,10 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
     std::vector<Term> domain;
     size_t next_value = 0;
     std::vector<Term> pending;  // residual assertions before this frame's assignment
+    uint64_t below_mask = 0;    // atom masks of the trail below this frame
+    // Whether `pending` is a substitution fixpoint under the trail below: then only
+    // subterms mentioning this frame's atom can change when it is assigned.
+    bool fixpoint = true;
   };
 
   auto pick_atom = [&](const std::vector<Term>& ps) -> Term {
@@ -365,14 +369,19 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
     }
     trail_map[frame.atom] = value;
 
-    // Substitute and simplify every residual assertion. The whole trail participates:
-    // assigning a Ref atom can materialize array cells that earlier frames already fixed.
+    // Substitute and simplify every residual assertion. The residuals are a fixpoint
+    // under the trail below, so the first round re-simplifies only subterms that mention
+    // the decided atom; later rounds filter on the whole trail, because assigning a Ref
+    // atom can materialize array cells that earlier frames already fixed.
+    const uint64_t trail_mask = frame.below_mask | frame.atom->atom_mask();
+    const uint64_t fresh_mask = frame.fixpoint ? frame.atom->atom_mask() : trail_mask;
     std::unordered_map<Term, Term> memo;
     std::vector<Term> next_pending;
     bool conflict = false;
+    bool capped = false;
     for (Term a : frame.pending) {
       ++stats_.evaluations;
-      Term r = SubstFixpoint(f, a, trail_map, memo);
+      Term r = SubstFixpoint(f, a, trail_map, fresh_mask, trail_mask, memo, &capped);
       if (r->IsBoolLit(false)) {
         conflict = true;
         break;
@@ -401,7 +410,7 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
     NOCTUA_CHECK_MSG(next_atom != nullptr, "undecided residual without atoms");
     stats_.num_atoms = std::max(stats_.num_atoms, stack.size() + 1);
     stack.push_back(Frame{next_atom, make_domain(next_atom, trail_map), 0,
-                          std::move(next_pending)});
+                          std::move(next_pending), trail_mask, !capped});
   }
 
   stats_.seconds = watch.ElapsedSeconds();

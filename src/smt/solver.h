@@ -14,10 +14,25 @@
 //   * String atoms range over the formula's string literals plus fresh distinct symbols.
 //   * Bool atoms range over {false, true}.
 //
-// Search is depth-first over atoms (the decomposed scalar unknowns, see eval.h) with
-// three-valued evaluation for pruning: after each assignment, pending assertions are
-// re-evaluated; any definitely-false assertion prunes the subtree, and assertions that
-// become definitely-true are dropped from deeper levels.
+// Search is depth-first over ground atoms (see ground.h) by substitute-and-simplify:
+// after each assignment the pending residual assertions are substituted with the trail
+// and re-simplified; a residual that folds to false prunes the subtree, one that folds
+// to true is dropped from deeper levels, and the next atom is the first one surviving in
+// the first residual.
+//
+// Residual-fixpoint invariant: a frame's residuals are a substitution fixpoint under the
+// trail below it — no subterm of them is an assigned atom. So when the frame assigns its
+// atom, only subterms that mention that atom can change. Every term carries an atom
+// summary (TermData::atom_mask, a 64-bit OR over the atoms it contains), and the first
+// substitution round skips every subterm whose summary is disjoint from the decided
+// atom's: most residuals are carried over untouched, without a visit. Later rounds
+// filter on the whole trail's summary, because assigning a Ref atom can rebuild a cell
+// the trail fixed long ago (x := #0 turns Select(data, x) into Select(data, #0)). A
+// residual that hit the round cap is not a fixpoint, so the frame below it filters its
+// first round on the whole trail too. Skipped subterms are exactly those the unfiltered
+// substitution would have returned unchanged, so the search — every residual, every
+// term the factory builds, every branching choice — is the same as with full
+// re-substitution; only the work per node shrinks.
 //
 // kSat means a counterexample was found (the check FAILS); kUnsat means the property holds
 // within the scope; kUnknown means the budget was exhausted (or a portfolio race cancelled

@@ -127,6 +127,28 @@ TermFactory::TermFactory() {
 }
 TermFactory::~TermFactory() = default;
 
+namespace {
+
+// The ground-atom predicate of TermData::is_ground_atom, judged once per interned node.
+bool IsGroundAtomShape(const TermData& t) {
+  auto is_cell = [](Term c) {
+    return c->kind() == TermKind::kSelect && c->child(0)->kind() == TermKind::kConst &&
+           IsGroundIndex(c->child(1));
+  };
+  switch (t.kind()) {
+    case TermKind::kConst:
+      return !t.sort()->is_array() && !t.sort()->is_tuple();
+    case TermKind::kSelect:
+      return is_cell(&t) && !t.sort()->is_tuple();
+    case TermKind::kProj:
+      return is_cell(t.child(0));
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
 Term TermFactory::Intern(TermKind kind, Sort sort, std::vector<Term> children,
                          int64_t int_payload, int64_t int_payload2, std::string str_payload,
                          Sort binder_sort) {
@@ -179,6 +201,15 @@ Term TermFactory::Intern(TermKind kind, Sort sort, std::vector<Term> children,
     hbv = other;
   }
   t->has_bound_var_ = hbv;
+  t->is_ground_atom_ = IsGroundAtomShape(*t);
+  uint64_t mask = 0;
+  for (Term c : t->children_) {
+    mask |= c->atom_mask();
+  }
+  if (t->is_ground_atom_) {
+    mask |= uint64_t{1} << (next_atom_bit_++ & 63);
+  }
+  t->atom_mask_ = mask;
   Term result = t.get();
   all_terms_.push_back(t.get());
   bucket.push_back(std::move(t));

@@ -95,6 +95,15 @@ class TermData {
   const std::string& str_payload() const { return str_payload_; }
   const Sort& binder_sort() const { return binder_sort_; }
   bool has_bound_var() const { return has_bound_var_; }
+  // True for a ground atom: a scalar constant, a scalar Select(array_const,
+  // ground_index) cell, or a Proj(Select(array_const, ground_index), i) tuple slot. These
+  // are the unknowns the solvers decide and substitute.
+  bool is_ground_atom() const { return is_ground_atom_; }
+  // Summary of the ground atoms this term contains (itself included): each ground atom
+  // owns one of 64 bits, assigned round-robin at creation, and a term's mask is the OR
+  // over its children's masks plus its own bit. Disjoint masks prove that no atom of
+  // one term occurs in the other; intersecting masks prove nothing (bits are shared).
+  uint64_t atom_mask() const { return atom_mask_; }
   uint64_t hash() const { return hash_; }
   uint64_t id() const { return id_; }
 
@@ -121,6 +130,8 @@ class TermData {
   Sort binder_sort_;          // domain sort for binder kinds / index for kArrayLambda
   bool has_bound_var_ = false;  // true if any kBoundVar occurs underneath (binders strip
                                 // their own variable)
+  bool is_ground_atom_ = false;
+  uint64_t atom_mask_ = 0;
   uint64_t hash_ = 0;
   uint64_t id_ = 0;  // creation index, used for deterministic ordering
 };
@@ -246,6 +257,7 @@ class TermFactory {
   std::vector<TermData*> all_terms_;
   int64_t next_bound_var_ = 0;
   uint64_t intern_hits_ = 0;
+  uint64_t next_atom_bit_ = 0;  // round-robin over the 64 atom_mask bits
 };
 
 // True if `t` contains a free bound variable whose id differs from `self_id`.

@@ -4,7 +4,9 @@
 //   * backend selection — strict NOCTUA_SOLVER parsing and the MakeBackend factory;
 //   * the portfolio race — cancellation, win accounting, verdict agreement;
 //   * the headline soundness claim: every evaluated app's restriction set is
-//     byte-identical across dfs, cdcl, and portfolio.
+//     byte-identical across dfs, cdcl, and portfolio;
+//   * search identity: the exact width-1 dfs tallies of the four cheap apps.
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -14,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/apps.h"
+#include "src/pipeline/engine.h"
 #include "src/pipeline/pipeline.h"
 #include "src/smt/backend.h"
 #include "src/smt/cdcl.h"
@@ -516,6 +519,48 @@ TEST_P(OptimizationIdentityTest, TogglesDoNotChangeTheRestrictionSet) {
 INSTANTIATE_TEST_SUITE_P(
     AllApps, OptimizationIdentityTest, ::testing::ValuesIn(apps::EvaluatedApps()),
     [](const ::testing::TestParamInfo<apps::AppEntry>& info) { return info.param.name; });
+
+// Search identity: at width 1 under the deterministic budget, the dfs model finder's
+// search is fully determined by the app, so its exact check and node tallies pin the
+// search tree. A per-node solver change that claims to keep the search (a cheaper
+// substitution, a different memo) must leave these numbers — the same ones the ledger
+// commits in ledger/expected.json — bit-identical; a change that alters them alters
+// which branches the DFS explores, even when every verdict survives.
+TEST(SearchIdentityTest, WidthOneDfsTalliesArePinned) {
+  struct Pin {
+    const char* app;
+    uint64_t solver_checks;
+    uint64_t solver_nodes;
+    size_t restrictions;
+  };
+  const Pin pins[] = {
+      {"Todo", 198, 11844, 47},
+      {"PostGraduation", 103, 19647, 29},
+      {"SmallBank", 15, 1289, 4},
+      {"Courseware", 19, 441, 2},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.app);
+    const std::vector<apps::AppEntry> all = apps::EvaluatedApps();
+    auto entry = std::find_if(all.begin(), all.end(),
+                              [&](const apps::AppEntry& e) { return e.name == pin.app; });
+    ASSERT_NE(entry, all.end());
+    EngineConfig config;
+    config.threads = 1;
+    config.solver = BackendKind::kDfs;
+    Engine engine(config);
+    PipelineOptions options;
+    options.parallel.threads = 1;
+    options.checker.solver.backend = BackendKind::kDfs;
+    options.checker.solver.budget.deterministic = true;
+    options.checker.solver.symmetry = smt::Toggle::kOn;
+    options.checker.solver.incremental = smt::Toggle::kOn;
+    PipelineResult r = engine.Run(entry->make(), options);
+    EXPECT_EQ(r.stats().solver_checks, pin.solver_checks);
+    EXPECT_EQ(r.stats().solver_nodes, pin.solver_nodes);
+    EXPECT_EQ(r.restrictions.RestrictedPairNames().size(), pin.restrictions);
+  }
+}
 
 }  // namespace
 }  // namespace noctua

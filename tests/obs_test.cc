@@ -91,6 +91,37 @@ TEST(HistBuckets, SmallCountPercentilesAreExact) {
   EXPECT_DOUBLE_EQ(s.Mean(), (98.0 * 100 + 2 * 5000) / 100.0);
 }
 
+TEST(HistBuckets, ReservoirPercentilesUseCeilNearestRank) {
+  // Nearest rank is ceil(q * n), clamped to [1, n], as in bench::ComputePercentiles and
+  // the ledger: over five samples rank ceil(4.95) = 5 makes p99 the max (floor would
+  // give the 4th value), and over 100 distinct samples p99 is the 99th value.
+  ObsOptions enabled;
+  enabled.enabled = true;
+  {
+    Collector collector(enabled);
+    for (uint64_t v : {10, 20, 30, 40, 50}) {
+      Observe(Hist::kPairMicros, v);
+    }
+    collector.Stop();
+    HistSummary s = collector.histogram(Hist::kPairMicros);
+    EXPECT_EQ(s.p50, 30u);
+    EXPECT_EQ(s.p95, 50u);
+    EXPECT_EQ(s.p99, 50u);
+  }
+  {
+    Collector collector(enabled);
+    for (uint64_t v = 100; v >= 1; --v) {
+      Observe(Hist::kPairMicros, v);
+    }
+    collector.Stop();
+    HistSummary s = collector.histogram(Hist::kPairMicros);
+    EXPECT_EQ(s.count, 100u);
+    EXPECT_EQ(s.p50, 50u);
+    EXPECT_EQ(s.p95, 95u);
+    EXPECT_EQ(s.p99, 99u);
+  }
+}
+
 TEST(HistBuckets, LargeCountPercentilesInterpolateWithinBuckets) {
   Collector collector(ObsOptions{.enabled = true});
   // 512 samples (past the reservoir): 400 at 100 (bucket [64, 128)), 112 at 5000

@@ -1,14 +1,22 @@
 // Unit tests for the SMT substrate: sorts, term construction/simplification, evaluation,
-// and the solver backends (every solver test runs against dfs, cdcl, and portfolio).
+// the atom-mask filter of the substitution helpers, and the solver backends (every solver
+// test runs against dfs, cdcl, and portfolio).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
+#include <set>
 
+#include "src/analyzer/analyzer.h"
+#include "src/apps/apps.h"
 #include "src/smt/backend.h"
 #include "src/smt/eval.h"
+#include "src/smt/ground.h"
 #include "src/smt/solver.h"
 #include "src/smt/sort.h"
 #include "src/smt/term.h"
+#include "src/verifier/encoder.h"
 
 namespace noctua::smt {
 namespace {
@@ -282,6 +290,249 @@ TEST(AtomTableTest, DecomposesCompositeConstants) {
   EXPECT_GE(atoms.Find(ids, 1, -1), 0);
   EXPECT_GE(atoms.Find(data, 0, 1), 0);
   EXPECT_EQ(atoms.Find(data, 0, 5), -1);
+}
+
+// --- Filtered substitution ---------------------------------------------------------------
+
+constexpr uint64_t kAllAtoms = ~uint64_t{0};
+
+TEST_F(TermTest, AtomMasksSummarizeContainedGroundAtoms) {
+  Sort rs = RefSort(0);
+  Term data = f.Const("data", ArraySort(rs, IntSort()));
+  Term x = f.Const("x", rs);
+  Term n = f.Const("n", IntSort());
+  Term cell = f.Select(data, f.RefLit(rs, 0));
+  EXPECT_TRUE(x->is_ground_atom());
+  EXPECT_TRUE(cell->is_ground_atom());
+  EXPECT_FALSE(data->is_ground_atom());  // arrays are not atoms; their cells are
+  EXPECT_FALSE(f.Select(data, x)->is_ground_atom());
+  EXPECT_EQ(data->atom_mask(), 0u);
+  EXPECT_EQ(f.IntLit(3)->atom_mask(), 0u);
+  // Each atom owns one bit (round-robin), and a term's mask is the OR over its atoms.
+  EXPECT_EQ(__builtin_popcountll(x->atom_mask()), 1);
+  EXPECT_NE(x->atom_mask(), cell->atom_mask());
+  Term sum = f.Add(cell, n);
+  EXPECT_EQ(sum->atom_mask(), cell->atom_mask() | n->atom_mask());
+  EXPECT_EQ(f.Lt(f.Select(data, x), n)->atom_mask(), x->atom_mask() | n->atom_mask());
+}
+
+// The grounded commutativity query of one pair of effectful paths, flattened into the
+// conjuncts the DFS model finder starts from.
+std::vector<Term> GroundedPairQuery(TermFactory& f, const app::App& app,
+                                    const soir::CodePath& p, const soir::CodePath& q,
+                                    const Scope& scope) {
+  verifier::EncoderOptions options;
+  options.order_models = verifier::Encoder::OrderRelevantModels(p);
+  std::set<int> oq = verifier::Encoder::OrderRelevantModels(q);
+  options.order_models.insert(oq.begin(), oq.end());
+  verifier::Encoder enc(app.schema(), &f, options);
+  verifier::EncState s0 = enc.FreshState("S0");
+  verifier::Encoder::PathResult pq1 = enc.ApplyPath(p, s0, "x");
+  verifier::Encoder::PathResult pq2 = enc.ApplyPath(q, pq1.post, "y");
+  verifier::Encoder::PathResult qp1 = enc.ApplyPath(q, s0, "y");
+  verifier::Encoder::PathResult qp2 = enc.ApplyPath(p, qp1.post, "x");
+  std::vector<Term> raw = {f.Not(enc.StateEq(pq2.post, qp2.post, options.order_models)),
+                           enc.UniqueIdAxiom(s0), pq1.pre, qp1.pre, pq2.pre, qp2.pre,
+                           enc.StateAxioms(s0)};
+  for (Term d : {pq1.defs, pq2.defs, qp1.defs, qp2.defs}) {
+    if (d != nullptr) {
+      raw.push_back(d);
+    }
+  }
+  Grounder g(&f, scope);
+  std::vector<Term> out;
+  if (!GroundAndFlatten(g, f, raw, &out)) {
+    out.clear();
+  }
+  return out;
+}
+
+// (a) Random DFS-style descents over real grounded queries: after each decision the
+// frame's residuals are substituted twice through the same helper — filtered on the
+// decided atom (then the trail), as the model finder does, and with an all-ones mask,
+// which filters nothing. The results must be pointer-equal conjunct by conjunct.
+TEST(FilteredSubstTest, DecidedAtomFilterMatchesWholeTrailOnAppQueries) {
+  const Scope scope(2);
+  size_t compared = 0;
+  size_t skipped = 0;
+  for (const char* name : {"Todo", "SmallBank"}) {
+    SCOPED_TRACE(name);
+    const std::vector<apps::AppEntry> all = apps::EvaluatedApps();
+    auto entry = std::find_if(all.begin(), all.end(),
+                              [&](const apps::AppEntry& e) { return e.name == name; });
+    ASSERT_NE(entry, all.end());
+    app::App app = entry->make();
+    analyzer::AnalysisResult analysis = analyzer::AnalyzeApp(app);
+    const std::vector<soir::CodePath>& paths = analysis.EffectfulPaths();
+    std::mt19937_64 rng(0x5eed);
+    size_t pairs = 0;
+    for (size_t i = 0; i < paths.size() && pairs < 8; ++i) {
+      for (size_t j = i; j < paths.size() && pairs < 8; ++j, ++pairs) {
+        TermFactory f;
+        const std::vector<Term> grounded = GroundedPairQuery(f, app, paths[i], paths[j], scope);
+        ValueDomains domains;
+        domains.Harvest(grounded, 8, 6);
+        for (int walk = 0; walk < 6; ++walk) {
+          std::vector<Term> pending = grounded;
+          std::unordered_map<Term, Term> values;
+          uint64_t trail_mask = 0;
+          std::unordered_map<Term, Term> atom_memo;
+          while (!pending.empty()) {
+            Term atom = nullptr;
+            for (Term a : pending) {
+              if ((atom = FindFirstAtom(a, atom_memo)) != nullptr) {
+                break;
+              }
+            }
+            ASSERT_NE(atom, nullptr);
+            ASSERT_EQ(values.count(atom), 0u) << "a residual kept an assigned atom";
+            std::vector<Term> lits = domains.LiteralsFor(f, scope, atom);
+            values[atom] = lits[rng() % lits.size()];
+            trail_mask |= atom->atom_mask();
+            std::unordered_map<Term, Term> memo_filtered;
+            std::unordered_map<Term, Term> memo_whole;
+            std::vector<Term> next;
+            bool conflict = false;
+            for (Term a : pending) {
+              bool capped = false;
+              Term filtered = SubstFixpoint(f, a, values, atom->atom_mask(), trail_mask,
+                                            memo_filtered, &capped);
+              Term whole = SubstFixpoint(f, a, values, kAllAtoms, kAllAtoms, memo_whole);
+              ASSERT_EQ(filtered, whole) << a->ToString();
+              ASSERT_FALSE(capped);
+              ++compared;
+              skipped += (a->atom_mask() & atom->atom_mask()) == 0 ? 1 : 0;
+              if (whole->IsBoolLit(false)) {
+                conflict = true;
+                break;
+              }
+              if (whole->kind() == TermKind::kAnd) {
+                next.insert(next.end(), whole->children().begin(), whole->children().end());
+              } else if (!whole->IsBoolLit(true)) {
+                next.push_back(whole);
+              }
+            }
+            if (conflict) {
+              break;
+            }
+            pending = std::move(next);
+          }
+        }
+      }
+    }
+  }
+  // The descents really exercised the filter: many comparisons, most of them on
+  // conjuncts the decided atom does not touch.
+  EXPECT_GT(compared, 1000u);
+  EXPECT_GT(skipped, compared / 2);
+}
+
+// A residual that is a fixpoint under {y := #0, objs[#0].1 := 9} and then decides
+// x := #0. Select-over-store hands back the stored tuple, and projecting field 1 out of
+// it rebuilds objs[#0].1 — an already-assigned cell — inside a fresh term, which round 0
+// (filtered on x alone) does not revisit. The later rounds, filtered on the whole trail,
+// substitute it; filtering them on x too would leave the assigned cell behind.
+TEST_F(TermTest, RefAssignmentMaterializesAnAssignedCell) {
+  Sort rs = RefSort(0);
+  Sort obj = TupleSort({IntSort(), IntSort()});
+  Term objs = f.Const("objs", ArraySort(rs, obj));
+  Term x = f.Const("x", rs);
+  Term c = f.Const("c", BoolSort());
+  Term r0 = f.RefLit(rs, 0);
+  Term stored = f.Ite(c, f.MkTuple({f.IntLit(1), f.IntLit(2)}), f.Select(objs, r0));
+  Term field = f.Proj(f.Select(f.Store(objs, r0, stored), x), 1);
+  Term residual = f.Lt(field, f.IntLit(5));
+  Term cell = f.Proj(f.Select(objs, r0), 1);
+  ASSERT_TRUE(cell->is_ground_atom());
+  ASSERT_EQ(residual->atom_mask() & cell->atom_mask(), 0u);  // the cell is not there yet
+  ASSERT_EQ(x->atom_mask() & cell->atom_mask(), 0u);         // and x's bit does not cover it
+
+  std::unordered_map<Term, Term> values = {{cell, f.IntLit(9)}, {x, r0}};
+  const uint64_t trail = KeyMask(values);
+  std::unordered_map<Term, Term> memo;
+  Term round0 = SubstGround(f, residual, values, x->atom_mask(), memo);
+  EXPECT_NE(round0->atom_mask() & cell->atom_mask(), 0u) << round0->ToString();
+
+  std::unordered_map<Term, Term> memo_f, memo_w, memo_x;
+  Term filtered = SubstFixpoint(f, residual, values, x->atom_mask(), trail, memo_f);
+  Term whole = SubstFixpoint(f, residual, values, kAllAtoms, kAllAtoms, memo_w);
+  EXPECT_EQ(filtered, whole);
+  EXPECT_EQ(whole, f.Lt(f.Ite(c, f.IntLit(2), f.IntLit(9)), f.IntLit(5)));
+  EXPECT_NE(SubstFixpoint(f, residual, values, x->atom_mask(), x->atom_mask(), memo_x),
+            whole);
+}
+
+// Builds `depth` nested copies of the materialization above over a Ref-valued field:
+// with objs[#0].0 := #0 every substitution round peels exactly one level, so
+// SubstFixpoint gives up after kSubstRounds rounds with an assigned cell still inside.
+Term MaterializationChain(TermFactory& f, Term objs, Term x, Term c, int depth) {
+  Sort rs = RefSort(0);
+  Term r0 = f.RefLit(rs, 0);
+  Term stored = f.Ite(c, f.MkTuple({r0, f.IntLit(1)}), f.Select(objs, r0));
+  Term idx = x;
+  for (int i = 0; i < depth; ++i) {
+    idx = f.Proj(f.Select(f.Store(objs, r0, stored), idx), 0);
+  }
+  return f.Eq(idx, f.Const("z", rs));
+}
+
+// (c) A frame whose parent hit the round cap holds residuals that are not a fixpoint
+// under the trail below it, so its first round must filter on the whole trail: filtering
+// on the decided atom alone would skip the assigned cell the capped round left behind.
+TEST_F(TermTest, CappedResidualNeedsTheWholeTrailMask) {
+  Sort rs = RefSort(0);
+  Sort obj = TupleSort({rs, IntSort()});
+  Term objs = f.Const("objs", ArraySort(rs, obj));
+  Term x = f.Const("x", rs);
+  Term c = f.Const("c", BoolSort());
+  Term r0 = f.RefLit(rs, 0);
+  Term conjunct = MaterializationChain(f, objs, x, c, kSubstRounds + 4);
+  Term cell = f.Proj(f.Select(objs, r0), 0);
+  ASSERT_TRUE(cell->is_ground_atom());
+
+  // The parent frame decides x with objs[#0].0 := #0 already on the trail, and caps.
+  std::unordered_map<Term, Term> values = {{cell, r0}, {x, r0}};
+  uint64_t trail = KeyMask(values);
+  std::unordered_map<Term, Term> memo;
+  bool capped = false;
+  Term residual = SubstFixpoint(f, conjunct, values, x->atom_mask(), trail, memo, &capped);
+  ASSERT_TRUE(capped);
+  ASSERT_NE(residual->atom_mask() & cell->atom_mask(), 0u);
+
+  // The child frame decides an atom of another conjunct.
+  Term flag = f.Const("flag", BoolSort());
+  ASSERT_EQ(flag->atom_mask() & residual->atom_mask(), 0u);
+  values[flag] = f.True();
+  trail |= flag->atom_mask();
+  std::unordered_map<Term, Term> memo_decided, memo_trail, memo_whole;
+  Term decided_only = SubstFixpoint(f, residual, values, flag->atom_mask(), trail, memo_decided);
+  Term fallback = SubstFixpoint(f, residual, values, trail, trail, memo_trail);
+  Term whole = SubstFixpoint(f, residual, values, kAllAtoms, kAllAtoms, memo_whole);
+  EXPECT_EQ(fallback, whole);
+  EXPECT_EQ(decided_only, residual);  // nothing mentions `flag`: the capped work stalls
+  EXPECT_NE(decided_only, whole);
+}
+
+// The same chain inside a model finder search: deciding objs[#0].0 := #0 and x := #0
+// caps the chain conjunct's substitution, and the frames below must keep peeling it with
+// the whole-trail mask. Every level resolves to #0, so z = #0 is forced.
+TEST(DfsCapTest, SearchThroughACappedFrameKeepsTheVerdict) {
+  for (bool z_is_zero : {true, false}) {
+    TermFactory f;
+    Sort rs = RefSort(0);
+    Term objs = f.Const("objs", ArraySort(rs, TupleSort({rs, IntSort()})));
+    Term x = f.Const("x", rs);
+    Term r0 = f.RefLit(rs, 0);
+    Term chain = MaterializationChain(f, objs, x, f.Const("c", BoolSort()), kSubstRounds + 4);
+    Term z = f.Const("z", rs);
+    SolverOptions options;
+    options.budget.deterministic = true;
+    Solver solver(options);
+    SolveResult r = solver.CheckSat(
+        f, {f.Eq(f.Proj(f.Select(objs, r0), 0), r0), f.Eq(x, r0), chain,
+            z_is_zero ? f.Eq(z, r0) : f.Neq(z, r0)});
+    EXPECT_EQ(r, z_is_zero ? SolveResult::kSat : SolveResult::kUnsat);
+  }
 }
 
 // --- Solver -------------------------------------------------------------------------------
