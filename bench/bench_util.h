@@ -26,15 +26,18 @@ namespace noctua::bench {
 inline constexpr int kBenchSchemaVersion = 4;
 
 // The leading members every BENCH_*.json document starts with. Callers embed it right
-// after their opening brace: json = "{" + BenchJsonPreamble("fault_sweep") + ", ...".
+// after their opening brace, once their runs are done:
+// json = "{" + BenchJsonPreamble("fault_sweep", sink) + ", ...".
 //
 // The backend members make sweep artifacts self-describing under NOCTUA_SOLVER: a
 // longitudinal regression between two commits means nothing if one ran dfs and the
-// other raced the portfolio. The portfolio tallies are process-lifetime totals at the
-// moment the document is assembled (zero for single backends).
-inline std::string BenchJsonPreamble(const std::string& bench_name) {
-  smt::PortfolioCounts pc = smt::GetPortfolioCounts();
-  smt::SolverSharedCounts sc = smt::GetSolverSharedCounts();
+// other raced the portfolio. The portfolio and solver tallies are those `sink`
+// accumulated: the sink the bench routed its runs into (ParallelOptions::counters, or
+// an engine's counters()). They are zero for single backends.
+inline std::string BenchJsonPreamble(const std::string& bench_name,
+                                     const smt::SolverCounterSink& sink) {
+  smt::PortfolioCounts pc = sink.Portfolio();
+  smt::SolverSharedCounts sc = sink.Shared();
   return "\"bench\": \"" + bench_name +
          "\", \"schema_version\": " + std::to_string(kBenchSchemaVersion) +
          ", \"solver_backend\": \"" +

@@ -61,13 +61,15 @@ std::vector<PlanCase> ChaosPlans() {
 // restriction set for the fast apps, the syntactic over-approximation for the two
 // SMT-heavy ones.
 ConflictTable ConflictsFor(const app::App& a, const std::string& name,
-                           const analyzer::AnalysisResult& res) {
+                           const analyzer::AnalysisResult& res, smt::SolverCounterSink* sink) {
   auto eff = res.EffectfulPaths();
   if (name == "Zhihu" || name == "OwnPhotos") {
     return repl::ConservativeConflicts(a.schema(), eff);
   }
+  verifier::ParallelOptions parallel;
+  parallel.counters = sink;
   verifier::RestrictionReport report = verifier::AnalyzeRestrictions(
-      verifier::Checker(a.schema()), eff, {}, res.paths);
+      verifier::Checker(a.schema()), eff, parallel, res.paths);
   ConflictTable table;
   for (const auto& v : report.pairs) {
     if (v.Restricted()) {
@@ -100,8 +102,9 @@ int main() {
   repl::EnforceOptions knobs = repl::ApplyEnforceEnv();
 
   bool all_safe = true;
-  std::string json = "{" + bench::BenchJsonPreamble("enforce_sweep") +
-                     ", \"lease_ms\": " + FormatDouble(knobs.lease_ms, 1) +
+  // Every verifier run's solver tallies land here, for the document's preamble.
+  smt::SolverCounterSink sink;
+  std::string json = ", \"lease_ms\": " + FormatDouble(knobs.lease_ms, 1) +
                      ", \"num_shards\": " + std::to_string(knobs.num_shards);
 
   // --- 1. Enforced chaos grid over every evaluated app -------------------------------
@@ -110,7 +113,7 @@ int main() {
   for (const auto& entry : apps::EvaluatedApps()) {
     app::App a = entry.make();
     analyzer::AnalysisResult res = analyzer::AnalyzeApp(a);
-    ConflictTable conflicts = ConflictsFor(a, entry.name, res);
+    ConflictTable conflicts = ConflictsFor(a, entry.name, res, &sink);
     for (const PlanCase& pc : ChaosPlans()) {
       for (uint64_t seed : {11u, 22u, 33u}) {
         SimResult r = RunOne(a, res, conflicts, pc.plan, seed, /*duration_ms=*/250,
@@ -155,7 +158,7 @@ int main() {
   // --- 2. Consistency-mode comparison on SmallBank -----------------------------------
   app::App bank = apps::MakeSmallBankApp();
   analyzer::AnalysisResult bank_res = analyzer::AnalyzeApp(bank);
-  ConflictTable bank_table = ConflictsFor(bank, "SmallBank", bank_res);
+  ConflictTable bank_table = ConflictsFor(bank, "SmallBank", bank_res, &sink);
   ConflictTable total;
   total.SetTotal(true);
   FaultPlan jittery = ChaosPlans()[1].plan;
@@ -228,7 +231,7 @@ int main() {
     first_point = false;
   }
   json += "]}";
-  printf("%s\n", json.c_str());
+  printf("{%s%s\n", bench::BenchJsonPreamble("enforce_sweep", sink).c_str(), json.c_str());
 
   if (!all_safe || !ordered) {
     fprintf(stderr, "[enforce_sweep] FAILED: %s\n",

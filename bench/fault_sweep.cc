@@ -21,7 +21,10 @@
 int main() {
   using namespace noctua;
   app::App bank = apps::MakeSmallBankApp();
-  PipelineResult pipeline = Pipeline::Run(bank);
+  smt::SolverCounterSink sink;
+  PipelineOptions options;
+  options.parallel.counters = &sink;
+  PipelineResult pipeline = Pipeline::Run(bank, options);
   const analyzer::AnalysisResult& analysis = pipeline.analysis;
   repl::ConflictTable conflicts;
   for (const auto& [p, q] : pipeline.restrictions.RestrictedViewPairs()) {
@@ -39,7 +42,7 @@ int main() {
   const Mode kModes[] = {{"PoR", false}, {"SC", true}};
 
   bool all_safe = true;
-  std::string json = "{" + noctua::bench::BenchJsonPreamble("fault_sweep") +
+  std::string json = "{" + noctua::bench::BenchJsonPreamble("fault_sweep", sink) +
                      ", \"app\": \"SmallBank\", \"write_ratio\": " +
                      FormatDouble(kWriteRatio, 2) +
                      ", \"duration_ms\": " + FormatDouble(kDurationMs, 0) +

@@ -50,11 +50,12 @@ std::vector<std::string> VerdictLines(const RestrictionReport& report) {
   return out;
 }
 
-IncrementalOptions Opts() {
+IncrementalOptions Opts(noctua::smt::SolverCounterSink* sink) {
   IncrementalOptions o;
   // Pin the solver's budget decisions so verdicts are identical across separate runs —
   // the identity assertion below is exact.
   o.pipeline.checker.solver.budget.deterministic = true;
+  o.pipeline.parallel.counters = sink;
   return o;
 }
 
@@ -212,8 +213,9 @@ int main() {
   };
 
   bool identical_everywhere = true;
-  std::string json =
-      "{" + noctua::bench::BenchJsonPreamble("incremental_sweep") + ", \"apps\": [";
+  // Every run's solver tallies land here, for the document's preamble.
+  noctua::smt::SolverCounterSink sink;
+  std::string json = ", \"apps\": [";
   for (size_t c = 0; c < cases.size(); ++c) {
     const AppCase& app_case = cases[c];
 
@@ -222,7 +224,7 @@ int main() {
     noctua::app::App base = app_case.make();
     StampFingerprints(base);
     fprintf(stderr, "[incremental_sweep] %s: cold base run...\n", app_case.name);
-    IncrementalResult cold_base = Pipeline::RunIncremental(base, base_store, Opts());
+    IncrementalResult cold_base = Pipeline::RunIncremental(base, base_store, Opts(&sink));
     fprintf(stderr, "[incremental_sweep] %s: cold %.3fs (%zu pairs)\n", app_case.name,
             cold_base.run.total_seconds, cold_base.run.restrictions.pairs.size());
 
@@ -242,14 +244,14 @@ int main() {
       std::string warm_store = TempDirFor(std::string(app_case.name) + "_" + edit.name);
       std::filesystem::copy(base_store, warm_store,
                             std::filesystem::copy_options::recursive);
-      IncrementalResult warm = Pipeline::RunIncremental(edited, warm_store, Opts());
+      IncrementalResult warm = Pipeline::RunIncremental(edited, warm_store, Opts(&sink));
 
       // Reference: the same edited app verified from scratch.
       noctua::app::App edited_again = app_case.make();
       StampFingerprints(edited_again);
       edit.apply(edited_again);
       std::string cold_store = TempDirFor(std::string(app_case.name) + "_" + edit.name + "_cold");
-      IncrementalResult cold = Pipeline::RunIncremental(edited_again, cold_store, Opts());
+      IncrementalResult cold = Pipeline::RunIncremental(edited_again, cold_store, Opts(&sink));
 
       bool identical = !warm.cold &&
                        VerdictLines(warm.run.restrictions) == VerdictLines(cold.run.restrictions);
@@ -284,7 +286,8 @@ int main() {
   }
   json += "], \"identical_everywhere\": " + std::string(identical_everywhere ? "true" : "false") +
           "}";
-  printf("%s\n", json.c_str());
+  printf("{%s%s\n", noctua::bench::BenchJsonPreamble("incremental_sweep", sink).c_str(),
+         json.c_str());
   if (!identical_everywhere) {
     fprintf(stderr,
             "[incremental_sweep] FAILED: a warm run diverged from its cold reference\n");

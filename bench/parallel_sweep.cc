@@ -62,7 +62,9 @@ int main() {
   const int kThreadCounts[] = {1, 2, 4, 8};
   bool identical_everywhere = true;
 
-  std::string json = "{" + bench::BenchJsonPreamble("parallel_sweep") + ", \"apps\": [";
+  // Every run's solver tallies land here, for the document's preamble.
+  smt::SolverCounterSink sink;
+  std::string json = ", \"apps\": [";
   for (size_t c = 0; c < cases.size(); ++c) {
     AppCase& app_case = cases[c];
     PipelineOptions analysis_only;
@@ -76,6 +78,7 @@ int main() {
     legacy.parallel.cache = false;
     legacy.parallel.cheapest_first = false;
     legacy.checker.project_footprint = false;
+    legacy.parallel.counters = &sink;
     fprintf(stderr, "[parallel_sweep] %s: legacy serial engine...\n", app_case.name);
     RestrictionReport baseline = Pipeline::Verify(app_case.app, analysis, legacy);
     std::vector<std::string> reference = VerdictLines(baseline);
@@ -93,6 +96,7 @@ int main() {
     for (size_t t = 0; t < std::size(kThreadCounts); ++t) {
       PipelineOptions options;
       options.parallel.threads = kThreadCounts[t];
+      options.parallel.counters = &sink;
       RestrictionReport report = Pipeline::Verify(app_case.app, analysis, options);
       if (kThreadCounts[t] == 1) {
         one_thread_seconds = report.total_seconds;
@@ -124,7 +128,7 @@ int main() {
   json += "], \"hardware_concurrency\": " +
           std::to_string(std::thread::hardware_concurrency()) +
           ", \"identical_everywhere\": " + (identical_everywhere ? "true" : "false") + "}";
-  printf("%s\n", json.c_str());
+  printf("{%s%s\n", bench::BenchJsonPreamble("parallel_sweep", sink).c_str(), json.c_str());
   if (!identical_everywhere) {
     fprintf(stderr, "[parallel_sweep] FAILED: some engine config changed a verdict\n");
     return 1;

@@ -164,9 +164,9 @@ int main(int argc, char** argv) {
   double total_on = 0;
   std::string zhihu_report_table;
 
-  std::string json = "{" + bench::BenchJsonPreamble("pipeline_sweep") +
-                     ", \"trace_file\": \"" + obs::JsonEscape(trace_out) +
-                     "\", \"apps\": [";
+  // Every run's solver tallies land here, for the document's preamble.
+  smt::SolverCounterSink sink;
+  std::string json = ", \"trace_file\": \"" + obs::JsonEscape(trace_out) + "\", \"apps\": [";
   for (size_t c = 0; c < cases.size(); ++c) {
     AppCase& app_case = cases[c];
     const bool is_zhihu = std::strcmp(app_case.name, "Zhihu") == 0;
@@ -175,6 +175,7 @@ int main(int argc, char** argv) {
     // the off-vs-on comparison below is exact equality, not a flaky approximation.
     PipelineOptions base;
     base.checker.solver.budget.deterministic = true;
+    base.parallel.counters = &sink;
 
     double off_seconds = 0;
     std::vector<std::string> reference;
@@ -255,7 +256,7 @@ int main(int argc, char** argv) {
   }
   json += "], \"identical_everywhere\": " + std::string(identical_everywhere ? "true" : "false") +
           "}";
-  printf("%s\n", json.c_str());
+  printf("{%s%s\n", bench::BenchJsonPreamble("pipeline_sweep", sink).c_str(), json.c_str());
 
   if (!identical_everywhere) {
     fprintf(stderr, "[pipeline_sweep] FAILED: instrumentation changed a verdict\n");

@@ -365,7 +365,8 @@ int main(int argc, char** argv) {
                  pass_speedup, kSpeedupTarget);
   }
 
-  std::string json = "{" + noctua::bench::BenchJsonPreamble("service_sweep");
+  std::string json = "{" + noctua::bench::BenchJsonPreamble("service_sweep",
+                                                              server.engine().counters());
   json += ", \"config\": {\"tenants\": " + std::to_string(tenants) +
           ", \"workers\": " + std::to_string(options.workers) +
           ", \"max_queue\": " + std::to_string(options.max_queue) +

@@ -67,12 +67,18 @@ verifier::RestrictionReport Engine::Verify(const app::App& app,
                                            const analyzer::AnalysisResult& analysis,
                                            const PipelineOptions& options) {
   PipelineOptions o = ResolveOptions(options);
-  verifier::Checker checker(app.schema(), o.checker);
+  std::lock_guard<std::mutex> lock(run_mutex_);
+  return VerifyLocked(app, analysis, o);
+}
+
+verifier::RestrictionReport Engine::VerifyLocked(const app::App& app,
+                                                 const analyzer::AnalysisResult& analysis,
+                                                 const PipelineOptions& resolved) {
+  verifier::Checker checker(app.schema(), resolved.checker);
   static const std::vector<soir::CodePath> kNoObservers;
   const std::vector<soir::CodePath>& observers =
-      o.order_observers ? analysis.paths : kNoObservers;
-  std::lock_guard<std::mutex> lock(run_mutex_);
-  return verifier::AnalyzeRestrictions(checker, analysis.EffectfulPaths(), o.parallel,
+      resolved.order_observers ? analysis.paths : kNoObservers;
+  return verifier::AnalyzeRestrictions(checker, analysis.EffectfulPaths(), resolved.parallel,
                                        observers);
 }
 
@@ -126,15 +132,102 @@ PipelineResult Engine::Run(const app::App& app, const PipelineOptions& options) 
 
 IncrementalResult Engine::RunIncremental(const app::App& app, const std::string& store_dir,
                                          const IncrementalOptions& options) {
-  IncrementalOptions o = options;
-  // Pool, counters, and knob resolutions carry into the session's verify stage through
-  // the option structs; the session installs its own loaded store, overriding the
-  // engine cache injection.
-  o.pipeline = ResolveOptions(o.pipeline);
+  // Pool, counters, and knob resolutions carry into the verify stage through the option
+  // structs; the store loaded below replaces the engine cache injection.
+  PipelineOptions popts = ResolveOptions(options.pipeline);
   std::lock_guard<std::mutex> lock(run_mutex_);
   obs::ScopedSpan engine_span("engine_run", obs::kCatPipeline);
+  // Same ownership rule as Run: install a collector only when asked and none is active,
+  // so a bench wrapping several incremental runs can own one collector.
+  std::optional<obs::Collector> collector;
+  if (options.pipeline.obs.enabled && !obs::Active()) {
+    collector.emplace(options.pipeline.obs);
+  }
+
+  Stopwatch watch;
+  IncrementalResult result;
   Session session(store_dir);
-  return session.RunIncremental(app, o);
+
+  analyzer::AnalysisResult prior;
+  verifier::VerdictCache store;
+  bool have_prior = false;
+  {
+    obs::ScopedSpan span("load_prior", obs::kCatIncremental);
+    have_prior = session.LoadPrior(app, &prior, &store);
+    span.Arg("loaded", have_prior ? 1 : 0);
+    span.Arg("verdicts", store.size());
+  }
+  obs::Add(have_prior ? obs::Counter::kArtifactLoads
+                      : obs::Counter::kArtifactLoadFailures);
+  result.cold = !have_prior;
+
+  double analyze_seconds = 0;
+  {
+    obs::ScopedSpan span("analyze", obs::kCatPipeline);
+    Stopwatch phase;
+    result.run.analysis = analyzer::AnalyzeAppIncremental(
+        app, have_prior ? &prior : nullptr, options.pipeline.analyzer);
+    analyze_seconds = phase.ElapsedSeconds();
+    span.Arg("endpoints_reused", result.run.analysis.endpoints_reused);
+  }
+  result.endpoints_reused = result.run.analysis.endpoints_reused;
+
+  // Digest diff against the prior artifact: edited, added, and removed endpoints.
+  if (have_prior) {
+    for (const auto& [view, digest] : result.run.analysis.endpoint_digests) {
+      auto it = prior.endpoint_digests.find(view);
+      if (it == prior.endpoint_digests.end() || it->second != digest) {
+        result.changed_endpoints.push_back(view);
+      }
+    }
+    for (const auto& [view, digest] : prior.endpoint_digests) {
+      if (result.run.analysis.endpoint_digests.find(view) ==
+          result.run.analysis.endpoint_digests.end()) {
+        result.changed_endpoints.push_back(view);
+      }
+    }
+  }
+
+  double verify_seconds = 0;
+  if (options.pipeline.verify) {
+    obs::ScopedSpan span("verify", obs::kCatPipeline);
+    Stopwatch phase;
+    popts.parallel.store = &store;
+    popts.parallel.paranoia = options.paranoia;
+    popts.parallel.paranoia_seed = options.paranoia_seed;
+    result.run.restrictions = VerifyLocked(app, result.run.analysis, popts);
+    verify_seconds = phase.ElapsedSeconds();
+    result.pairs_replayed = result.run.restrictions.stats.pairs_replayed;
+    result.pairs_computed = result.run.restrictions.stats.pairs_computed;
+  }
+
+  {
+    obs::ScopedSpan span("save_artifacts", obs::kCatIncremental);
+    result.artifacts_saved = session.Save(app, result.run.analysis, store);
+    span.Arg("saved", result.artifacts_saved ? 1 : 0);
+  }
+  obs::Add(result.artifacts_saved ? obs::Counter::kArtifactSaves
+                                  : obs::Counter::kArtifactSaveFailures);
+  if (!result.artifacts_saved) {
+    std::fprintf(stderr,
+                 "noctua: failed to save artifacts to %s — this run's results are "
+                 "valid, but the next run will be cold\n",
+                 store_dir.c_str());
+  }
+  result.run.total_seconds = watch.ElapsedSeconds();
+
+  if (collector) {
+    collector->Stop();
+    result.run.has_report = true;
+    result.run.report =
+        obs::BuildRunReport(*collector, app.name(), result.run.total_seconds,
+                            analyze_seconds, verify_seconds);
+    const std::string& trace_out = options.pipeline.obs.trace_out;
+    if (!trace_out.empty() && !collector->WriteChromeTrace(trace_out)) {
+      std::fprintf(stderr, "noctua: failed to write trace to %s\n", trace_out.c_str());
+    }
+  }
+  return result;
 }
 
 bool Engine::ValidTenantName(const std::string& tenant) {

@@ -82,6 +82,10 @@ class Engine {
   verifier::RestrictionReport Verify(const app::App& app,
                                      const analyzer::AnalysisResult& analysis,
                                      const PipelineOptions& options = {});
+  // One warm run against the artifact store at `store_dir` (see session.h): load the
+  // prior artifacts, re-analyze what changed, verify on this engine with the loaded
+  // verdicts as the store, and write back what changed. Serialized as a whole on the
+  // engine, so two requests never race on one store.
   IncrementalResult RunIncremental(const app::App& app, const std::string& store_dir,
                                    const IncrementalOptions& options = {});
 
@@ -108,6 +112,11 @@ class Engine {
   std::unique_ptr<verifier::VerdictCache> verdicts_;
   // Serializes verify stages: the pool supports one ParallelFor at a time.
   std::mutex run_mutex_;
+
+  // The verify stage on already-resolved options; the caller holds run_mutex_.
+  verifier::RestrictionReport VerifyLocked(const app::App& app,
+                                           const analyzer::AnalysisResult& analysis,
+                                           const PipelineOptions& resolved);
 };
 
 }  // namespace noctua

@@ -73,7 +73,7 @@ class Pipeline {
 
   // Incremental run against the on-disk artifact store at `store_dir`: analysis is
   // memoized per endpoint, verdicts replay from the prior run, and only pairs touched by
-  // the edit reach the solver. Convenience for Session(store_dir).RunIncremental(app) —
+  // the edit reach the solver. Convenience for Engine().RunIncremental(app, store_dir) —
   // include src/pipeline/session.h for the option/result types.
   static IncrementalResult RunIncremental(const app::App& app, const std::string& store_dir,
                                           const IncrementalOptions& options);

@@ -1,17 +1,12 @@
 #include "src/pipeline/session.h"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <sstream>
 
-#include "src/obs/obs.h"
-#include "src/obs/report.h"
 #include "src/soir/serialize.h"
 #include "src/support/check.h"
 #include "src/support/env.h"
-#include "src/support/stopwatch.h"
 
 namespace noctua {
 
@@ -42,10 +37,28 @@ bool WriteFile(const std::string& path, const std::string& data) {
   return static_cast<bool>(out);
 }
 
+// Writes `data` unless `*known` (what the file is known to hold) already equals it, and
+// remembers what the file holds now.
+bool WriteIfChanged(const std::string& path, const std::string& data, std::string* known) {
+  if (!known->empty() && *known == data) {
+    return true;
+  }
+  if (!WriteFile(path, data)) {
+    known->clear();
+    return false;
+  }
+  *known = data;
+  return true;
+}
+
 }  // namespace
 
 bool Session::LoadPrior(const app::App& app, analyzer::AnalysisResult* analysis,
-                        verifier::VerdictCache* verdicts) const {
+                        verifier::VerdictCache* verdicts) {
+  known_manifest_.clear();
+  known_schema_.clear();
+  known_analysis_.clear();
+  known_verdicts_ = nullptr;
   const std::string app_structure = soir::SchemaStructuralDigest(app.schema());
 
   // Manifest: version + app name + schema digests. The gate is the *structural* digest:
@@ -53,12 +66,11 @@ bool Session::LoadPrior(const app::App& app, analyzer::AnalysisResult* analysis,
   // (renaming-invariant) schema fragment, so both survive a rename-only schema edit —
   // but nothing else. The exact digest is informational (it additionally distinguishes
   // renames from no-ops).
-  std::string data;
-  if (!ReadFile(Path(kManifestFile), &data)) {
+  if (!ReadFile(Path(kManifestFile), &known_manifest_)) {
     return false;
   }
   {
-    soir::ArtifactReader r(std::move(data));
+    soir::ArtifactReader r(known_manifest_);
     r.ExpectAtom("noctua-manifest");
     if (r.Int() != soir::kArtifactVersion) {
       return false;
@@ -74,23 +86,23 @@ bool Session::LoadPrior(const app::App& app, analyzer::AnalysisResult* analysis,
   // Stored schema must round-trip to the same structural digest the manifest promised.
   // It is kept around: the stored paths reference fields by the *stored* names, which a
   // rename-only edit may have moved.
-  if (!ReadFile(Path(kSchemaFile), &data)) {
+  if (!ReadFile(Path(kSchemaFile), &known_schema_)) {
     return false;
   }
   soir::Schema stored;
   {
-    soir::ArtifactReader r(std::move(data));
+    soir::ArtifactReader r(known_schema_);
     if (!soir::DeserializeSchema(&r, &stored) || !r.AtEnd() ||
         soir::SchemaStructuralDigest(stored) != app_structure) {
       return false;
     }
   }
 
-  if (!ReadFile(Path(kAnalysisFile), &data)) {
+  if (!ReadFile(Path(kAnalysisFile), &known_analysis_)) {
     return false;
   }
   {
-    soir::ArtifactReader r(std::move(data));
+    soir::ArtifactReader r(known_analysis_);
     r.ExpectAtom("noctua-analysis");
     if (r.Int() != soir::kArtifactVersion) {
       return false;
@@ -110,11 +122,17 @@ bool Session::LoadPrior(const app::App& app, analyzer::AnalysisResult* analysis,
     return false;
   }
 
-  return verdicts->LoadFromFile(Path(kVerdictsFile));
+  if (!verdicts->LoadFromFile(Path(kVerdictsFile))) {
+    return false;
+  }
+  known_verdicts_ = verdicts;
+  known_computed_ = verdicts->computed();
+  known_size_ = verdicts->size();
+  return true;
 }
 
 bool Session::Save(const app::App& app, const analyzer::AnalysisResult& analysis,
-                   const verifier::VerdictCache& verdicts) const {
+                   const verifier::VerdictCache& verdicts) {
   std::error_code ec;
   std::filesystem::create_directories(store_dir_, ec);
   if (ec) {
@@ -136,107 +154,28 @@ bool Session::Save(const app::App& app, const analyzer::AnalysisResult& analysis
   analysis_w.Int(soir::kArtifactVersion);
   analyzer::SerializeAnalysis(analysis, &analysis_w);
 
-  return WriteFile(Path(kSchemaFile), schema.str()) &&
-         WriteFile(Path(kAnalysisFile), analysis_w.str()) &&
-         verdicts.SaveToFile(Path(kVerdictsFile)) &&
+  // The verdict store is unchanged when it is the cache LoadPrior filled (or Save last
+  // wrote) and nothing was computed into it since: no need to even serialize it.
+  auto save_verdicts = [&] {
+    if (known_verdicts_ == &verdicts && verdicts.computed() == known_computed_ &&
+        verdicts.size() == known_size_) {
+      return true;
+    }
+    known_verdicts_ = nullptr;
+    if (!verdicts.SaveToFile(Path(kVerdictsFile))) {
+      return false;
+    }
+    known_verdicts_ = &verdicts;
+    known_computed_ = verdicts.computed();
+    known_size_ = verdicts.size();
+    return true;
+  };
+  return WriteIfChanged(Path(kSchemaFile), schema.str(), &known_schema_) &&
+         WriteIfChanged(Path(kAnalysisFile), analysis_w.str(), &known_analysis_) &&
+         save_verdicts() &&
          // Manifest last: a crash mid-save leaves a store whose manifest (if any) is the
          // old one, which then fails the schema/analysis cross-checks and reads as cold.
-         WriteFile(Path(kManifestFile), manifest.str());
-}
-
-IncrementalResult Session::RunIncremental(const app::App& app,
-                                          const IncrementalOptions& options) {
-  // Same ownership rule as Pipeline::Run: install a collector only when asked and none
-  // is active, so a bench wrapping several incremental runs can own one collector.
-  std::optional<obs::Collector> collector;
-  if (options.pipeline.obs.enabled && !obs::Active()) {
-    collector.emplace(options.pipeline.obs);
-  }
-
-  Stopwatch watch;
-  IncrementalResult result;
-
-  analyzer::AnalysisResult prior;
-  verifier::VerdictCache store;
-  bool have_prior = false;
-  {
-    obs::ScopedSpan span("load_prior", obs::kCatIncremental);
-    have_prior = LoadPrior(app, &prior, &store);
-    span.Arg("loaded", have_prior ? 1 : 0);
-    span.Arg("verdicts", store.size());
-  }
-  obs::Add(have_prior ? obs::Counter::kArtifactLoads
-                      : obs::Counter::kArtifactLoadFailures);
-  result.cold = !have_prior;
-
-  double analyze_seconds = 0;
-  {
-    obs::ScopedSpan span("analyze", obs::kCatPipeline);
-    Stopwatch phase;
-    result.run.analysis = analyzer::AnalyzeAppIncremental(
-        app, have_prior ? &prior : nullptr, options.pipeline.analyzer);
-    analyze_seconds = phase.ElapsedSeconds();
-    span.Arg("endpoints_reused", result.run.analysis.endpoints_reused);
-  }
-  result.endpoints_reused = result.run.analysis.endpoints_reused;
-
-  // Digest diff against the prior artifact: edited, added, and removed endpoints.
-  if (have_prior) {
-    for (const auto& [view, digest] : result.run.analysis.endpoint_digests) {
-      auto it = prior.endpoint_digests.find(view);
-      if (it == prior.endpoint_digests.end() || it->second != digest) {
-        result.changed_endpoints.push_back(view);
-      }
-    }
-    for (const auto& [view, digest] : prior.endpoint_digests) {
-      if (result.run.analysis.endpoint_digests.find(view) ==
-          result.run.analysis.endpoint_digests.end()) {
-        result.changed_endpoints.push_back(view);
-      }
-    }
-  }
-
-  double verify_seconds = 0;
-  if (options.pipeline.verify) {
-    obs::ScopedSpan span("verify", obs::kCatPipeline);
-    Stopwatch phase;
-    PipelineOptions popts = options.pipeline;
-    popts.parallel.store = &store;
-    popts.parallel.paranoia = options.paranoia;
-    popts.parallel.paranoia_seed = options.paranoia_seed;
-    result.run.restrictions = Pipeline::Verify(app, result.run.analysis, popts);
-    verify_seconds = phase.ElapsedSeconds();
-    result.pairs_replayed = result.run.restrictions.stats.pairs_replayed;
-    result.pairs_computed = result.run.restrictions.stats.pairs_computed;
-  }
-
-  {
-    obs::ScopedSpan span("save_artifacts", obs::kCatIncremental);
-    result.artifacts_saved = Save(app, result.run.analysis, store);
-    span.Arg("saved", result.artifacts_saved ? 1 : 0);
-  }
-  obs::Add(result.artifacts_saved ? obs::Counter::kArtifactSaves
-                                  : obs::Counter::kArtifactSaveFailures);
-  if (!result.artifacts_saved) {
-    std::fprintf(stderr,
-                 "noctua: failed to save artifacts to %s — this run's results are "
-                 "valid, but the next run will be cold\n",
-                 store_dir_.c_str());
-  }
-  result.run.total_seconds = watch.ElapsedSeconds();
-
-  if (collector) {
-    collector->Stop();
-    result.run.has_report = true;
-    result.run.report =
-        obs::BuildRunReport(*collector, app.name(), result.run.total_seconds,
-                            analyze_seconds, verify_seconds);
-    const std::string& trace_out = options.pipeline.obs.trace_out;
-    if (!trace_out.empty() && !collector->WriteChromeTrace(trace_out)) {
-      std::fprintf(stderr, "noctua: failed to write trace to %s\n", trace_out.c_str());
-    }
-  }
-  return result;
+         WriteIfChanged(Path(kManifestFile), manifest.str(), &known_manifest_);
 }
 
 std::string ArtifactDirFromEnv() {

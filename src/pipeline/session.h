@@ -1,21 +1,27 @@
-// Incremental analysis sessions: persistent content-addressed artifacts and O(change)
+// Incremental analysis: persistent content-addressed artifacts and O(change)
 // re-verification.
 //
-// A Session binds the pipeline to an on-disk artifact store (one directory per app):
+// A Session is one app's on-disk artifact store (one directory per app):
 //
 //   manifest   format version + app name + schema digests (exact and structural; the
 //              load gate is the structural one, so rename-only schema edits replay)
 //   schema     the serialized schema the artifacts were produced under
 //   analysis   every code path + per-endpoint renaming-invariant digests
-//   verdicts   the verdict cache: canonical query fingerprint -> solver outcome
+//   verdicts   the verdict cache: 128-bit digest of each query's key text -> outcome
+//              (see verifier/cache.h)
 //
-// RunIncremental loads the prior artifacts, memoizes analysis per endpoint (handler
-// fingerprint match), seeds the verifier's cache with the prior verdicts, runs the
-// normal pipeline, and writes the updated artifacts back. Because verdict fingerprints
-// encode everything the SMT encoding can see — canonical paths, order membership, the
-// touched schema fragment — only pairs affected by the edit miss the cache and reach the
-// solver; everything else replays. The emitted RestrictionReport is the same one a cold
-// run would produce, with per-pair provenance (computed vs replayed) attached.
+// Engine::RunIncremental drives it: load the prior artifacts, memoize analysis per
+// endpoint (handler fingerprint match), seed the verifier's cache with the prior
+// verdicts, verify on the engine's own pool, and write the artifacts back. Because
+// verdict keys encode everything the SMT encoding can see — canonical paths, order
+// membership, the touched schema fragment, the verdict-deciding options — only pairs
+// affected by the edit miss the cache and reach the solver; everything else replays.
+// The emitted RestrictionReport is the same one a cold run would produce, with per-pair
+// provenance (computed vs replayed) attached.
+//
+// A replay writes nothing it did not change: Save skips the verdict store when the run
+// computed no verdict beyond what LoadPrior loaded, and skips every other file whose
+// bytes equal what LoadPrior read. The manifest is still written last.
 //
 // Loading fails closed: a missing, truncated, corrupted, version-mismatched, or
 // schema-mismatched store degrades to a cold run (IncrementalResult::cold), never to a
@@ -67,26 +73,32 @@ class Session {
 
   const std::string& store_dir() const { return store_dir_; }
 
-  // One warm pipeline run against the store (see file header). Artifacts are saved back
-  // after the run, so consecutive calls see each other's results.
-  IncrementalResult RunIncremental(const app::App& app,
-                                   const IncrementalOptions& options = {});
-
   // Loads and validates the store's prior artifacts for `app`. Returns false — leaving
   // outputs unspecified — unless every layer checks out: manifest version and app name,
   // stored schema round-trips to the app's exact schema digest, analysis parses and its
-  // endpoint digests recompute from its paths, verdicts parse. Exposed for tests.
+  // endpoint digests recompute from its paths, verdicts parse. Remembers what it read,
+  // so Save can skip unchanged files.
   bool LoadPrior(const app::App& app, analyzer::AnalysisResult* analysis,
-                 verifier::VerdictCache* verdicts) const;
+                 verifier::VerdictCache* verdicts);
 
-  // Overwrites the store with the given artifacts. Returns false on I/O failure.
+  // Writes the given artifacts to the store, skipping every file that already holds
+  // them (see file header). Returns false on I/O failure.
   bool Save(const app::App& app, const analyzer::AnalysisResult& analysis,
-            const verifier::VerdictCache& verdicts) const;
+            const verifier::VerdictCache& verdicts);
 
  private:
   std::string Path(const char* file) const { return store_dir_ + "/" + file; }
 
   std::string store_dir_;
+  // The bytes each file is known to hold — what LoadPrior read or Save last wrote
+  // ("" = unknown) — and the verdict cache the verdicts file was last loaded into or
+  // saved from, with that cache's computed() count and size at the time.
+  std::string known_manifest_;
+  std::string known_schema_;
+  std::string known_analysis_;
+  const verifier::VerdictCache* known_verdicts_ = nullptr;
+  uint64_t known_computed_ = 0;
+  size_t known_size_ = 0;
 };
 
 // Resolves the NOCTUA_ARTIFACT_DIR environment variable into a session store directory.

@@ -38,6 +38,8 @@ class Scope {
   int DomainSize(const Sort& sort) const;
 
   int default_size() const { return default_size_; }
+  // True when some model has a size other than the default.
+  bool HasModelSizes() const { return !sizes_.empty(); }
 
  private:
   int default_size_;

@@ -1,5 +1,7 @@
 #include "src/soir/printer.h"
 
+#include <map>
+
 #include "src/support/check.h"
 
 namespace noctua::soir {
@@ -120,23 +122,29 @@ std::string PrintCommand(const Schema& schema, const Command& c) {
 // --- Canonical fingerprints ---------------------------------------------------------------
 
 int CanonicalizationCtx::ModelId(int m) {
-  auto it = model_map_.find(m);
-  if (it != model_map_.end()) {
-    return it->second;
+  if (model_map_.empty()) {
+    model_map_.assign(schema_.num_models(), -1);
   }
-  int id = static_cast<int>(models_.size());
-  model_map_[m] = id;
-  models_.push_back(m);
-  return id;
+  NOCTUA_CHECK(m >= 0 && static_cast<size_t>(m) < model_map_.size());
+  int& slot = model_map_[static_cast<size_t>(m)];
+  if (slot < 0) {
+    slot = static_cast<int>(models_.size());
+    models_.push_back(m);
+  }
+  return slot;
 }
 
 int CanonicalizationCtx::RelationId(int r) {
-  auto it = relation_map_.find(r);
-  if (it != relation_map_.end()) {
-    return it->second;
+  if (relation_map_.empty()) {
+    relation_map_.assign(schema_.num_relations(), -1);
+  }
+  NOCTUA_CHECK(r >= 0 && static_cast<size_t>(r) < relation_map_.size());
+  int& slot = relation_map_[static_cast<size_t>(r)];
+  if (slot >= 0) {
+    return slot;
   }
   int id = static_cast<int>(relations_.size());
-  relation_map_[r] = id;
+  slot = id;
   relations_.push_back(r);
   // Endpoints are part of the relation's identity (referential-integrity axioms mention
   // both sides), so assign them now even if the path text never names them.
@@ -174,19 +182,55 @@ std::string CanonicalizationCtx::SchemaSignature() const {
     out += "r" + std::to_string(k) + "(" +
            std::to_string(static_cast<int>(rel.kind)) + "," +
            std::to_string(static_cast<int>(rel.on_delete)) + "," +
-           std::to_string(model_map_.at(rel.from_model)) + "," +
-           std::to_string(model_map_.at(rel.to_model)) + ");";
+           std::to_string(model_map_[static_cast<size_t>(rel.from_model)]) + "," +
+           std::to_string(model_map_[static_cast<size_t>(rel.to_model)]) + ");";
   }
   return out;
 }
 
 namespace {
 
-// Per-path canonical printing state: argument names densely renumbered in declaration
-// order (the encoder pre-registers them in exactly that order).
+// The printer below renders into a raw string in which every canonical id is a hole:
+// kMark followed by the four bytes of the recording call's index. A kMark byte that
+// belongs to the path itself (inside a string literal or an unknown field name) is
+// escaped as kMark followed by kLiteralMark's four bytes. CanonicalPathTemplate splits
+// the raw string into literal text and holes.
+constexpr char kMark = '\x01';
+constexpr uint32_t kLiteralMark = 0xffffffffu;
+
+std::string MarkerFor(uint32_t index) {
+  std::string out(5, kMark);
+  for (int b = 0; b < 4; ++b) {
+    out[1 + b] = static_cast<char>((index >> (8 * b)) & 0xff);
+  }
+  return out;
+}
+
+// Path-controlled text, with kMark bytes escaped.
+std::string Literal(const std::string& s) {
+  if (s.find(kMark) == std::string::npos) {
+    return s;
+  }
+  std::string out;
+  for (char ch : s) {
+    if (ch == kMark) {
+      out += MarkerFor(kLiteralMark);
+    } else {
+      out += ch;
+    }
+  }
+  return out;
+}
+
+// Per-path canonical printing state: the ModelId/RelationId calls made so far (each
+// returns a hole for its own result) and argument names densely renumbered in
+// declaration order (the encoder pre-registers them in exactly that order).
 struct CanonPathCtx {
-  CanonicalizationCtx* ctx;
+  std::vector<CanonicalTemplate::Call> calls;
   std::map<std::string, int> arg_ids;
+
+  std::string Model(int m) { return Record(m, false); }
+  std::string Relation(int r) { return Record(r, true); }
 
   int ArgId(const std::string& name) {
     auto it = arg_ids.find(name);
@@ -197,20 +241,26 @@ struct CanonPathCtx {
     arg_ids[name] = id;
     return id;
   }
+
+ private:
+  std::string Record(int id, bool relation) {
+    calls.push_back(CanonicalTemplate::Call{id, relation});
+    return MarkerFor(static_cast<uint32_t>(calls.size() - 1));
+  }
 };
 
-std::string CanonType(const Type& t, CanonicalizationCtx* ctx) {
+std::string CanonType(const Type& t, CanonPathCtx& c) {
   switch (t.kind) {
     case Type::Kind::kBool:
       return "b";
     case Type::Kind::kString:
       return "s";
     case Type::Kind::kObj:
-      return "O" + std::to_string(ctx->ModelId(t.model_id));
+      return "O" + c.Model(t.model_id);
     case Type::Kind::kSet:
-      return "S" + std::to_string(ctx->ModelId(t.model_id));
+      return "S" + c.Model(t.model_id);
     case Type::Kind::kRef:
-      return "R" + std::to_string(ctx->ModelId(t.model_id));
+      return "R" + c.Model(t.model_id);
     default:  // Int / Float / Datetime share the integer sort
       return "i";
   }
@@ -225,16 +275,15 @@ std::string CanonField(const Schema& schema, int model, const std::string& field
   }
   int idx = md.FieldIndex(field);
   if (idx < 0) {
-    return "?" + field;  // unknown fields keep their name: never silently collide
+    return "?" + Literal(field);  // unknown fields keep their name: never silently collide
   }
   return std::to_string(idx + 1);
 }
 
-std::string CanonRelPath(const Schema& schema, const std::vector<RelStep>& path,
-                         CanonPathCtx& c) {
+std::string CanonRelPath(const std::vector<RelStep>& path, CanonPathCtx& c) {
   std::string out;
   for (const RelStep& s : path) {
-    out += "r" + std::to_string(c.ctx->RelationId(s.relation)) + (s.forward ? "+" : "-") + ".";
+    out += "r" + c.Relation(s.relation) + (s.forward ? "+" : "-") + ".";
   }
   return out;
 }
@@ -260,7 +309,7 @@ std::string CanonExpr(const Schema& schema, const Expr& e, CanonPathCtx& c) {
     case ExprKind::kIntLit:
       return std::to_string(e.int_val);
     case ExprKind::kStrLit:
-      return "\"" + e.str + "\"";
+      return "\"" + Literal(e.str) + "\"";
     case ExprKind::kBoundObj:
       return "it";
     case ExprKind::kAnd:
@@ -280,7 +329,7 @@ std::string CanonExpr(const Schema& schema, const Expr& e, CanonPathCtx& c) {
     case ExprKind::kCmp: {
       // The comparison's sort class decides which operators encode (only equality exists
       // for bool/string/ref), so it is part of the fingerprint.
-      return "(" + p(0) + " " + CmpOpName(e.cmp_op) + "/" + CanonType(e.child(0)->type, c.ctx) +
+      return "(" + p(0) + " " + CmpOpName(e.cmp_op) + "/" + CanonType(e.child(0)->type, c) +
              " " + p(1) + ")";
     }
     case ExprKind::kConcat:
@@ -291,7 +340,7 @@ std::string CanonExpr(const Schema& schema, const Expr& e, CanonPathCtx& c) {
       return "setf(f" + CanonField(schema, e.child(0)->type.model_id, e.str) + ", " + p(1) +
              ", " + p(0) + ")";
     case ExprKind::kNewObj: {
-      std::string out = "new m" + std::to_string(c.ctx->ModelId(e.type.model_id)) + "{" + p(0);
+      std::string out = "new m" + c.Model(e.type.model_id) + "{" + p(0);
       for (size_t i = 1; i < e.children.size(); ++i) {
         out += ", " + p(i);
       }
@@ -300,21 +349,21 @@ std::string CanonExpr(const Schema& schema, const Expr& e, CanonPathCtx& c) {
     case ExprKind::kSingleton:
       return "singleton(" + p(0) + ")";
     case ExprKind::kDeref:
-      return "deref<m" + std::to_string(c.ctx->ModelId(e.type.model_id)) + ">(" + p(0) + ")";
+      return "deref<m" + c.Model(e.type.model_id) + ">(" + p(0) + ")";
     case ExprKind::kAny:
       return "any(" + p(0) + ")";
     case ExprKind::kRefOf:
       return "ref(" + p(0) + ")";
     case ExprKind::kAll:
-      return "all<m" + std::to_string(c.ctx->ModelId(e.type.model_id)) + ">";
+      return "all<m" + c.Model(e.type.model_id) + ">";
     case ExprKind::kFilter: {
       int target = RelPathTarget(schema, e.child(0)->type.model_id, e.rel_path);
-      return "filter(" + CanonRelPath(schema, e.rel_path, c) + "f" +
+      return "filter(" + CanonRelPath(e.rel_path, c) + "f" +
              CanonField(schema, target, e.str) + " " + CmpOpName(e.cmp_op) + "/" +
-             CanonType(e.child(1)->type, c.ctx) + " " + p(1) + ", " + p(0) + ")";
+             CanonType(e.child(1)->type, c) + " " + p(1) + ", " + p(0) + ")";
     }
     case ExprKind::kFollow:
-      return "follow(" + CanonRelPath(schema, e.rel_path, c) + ", " + p(0) + ")";
+      return "follow(" + CanonRelPath(e.rel_path, c) + ", " + p(0) + ")";
     case ExprKind::kOrderBy:
       return "orderby(f" + CanonField(schema, e.child(0)->type.model_id, e.str) +
              (e.int_val ? " asc" : " desc") + ", " + p(0) + ")";
@@ -355,7 +404,7 @@ std::string CanonCommand(const Schema& schema, const Command& cmd, CanonPathCtx&
         if (rel.from_model != m && rel.to_model != m) {
           continue;
         }
-        out += "r" + std::to_string(c.ctx->RelationId(static_cast<int>(r)));
+        out += "r" + c.Relation(static_cast<int>(r));
         if (rel.from_model == m) {
           out += "f";
         }
@@ -367,39 +416,89 @@ std::string CanonCommand(const Schema& schema, const Command& cmd, CanonPathCtx&
       return out + "]";
     }
     case CommandKind::kLink:
-      return "link<r" + std::to_string(c.ctx->RelationId(cmd.relation)) + ">(" +
-             CanonExpr(schema, *cmd.a, c) + ", " + CanonExpr(schema, *cmd.b, c) + ")";
+      return "link<r" + c.Relation(cmd.relation) + ">(" + CanonExpr(schema, *cmd.a, c) +
+             ", " + CanonExpr(schema, *cmd.b, c) + ")";
     case CommandKind::kDelink:
-      return "delink<r" + std::to_string(c.ctx->RelationId(cmd.relation)) + ">(" +
-             CanonExpr(schema, *cmd.a, c) + ", " + CanonExpr(schema, *cmd.b, c) + ")";
+      return "delink<r" + c.Relation(cmd.relation) + ">(" + CanonExpr(schema, *cmd.a, c) +
+             ", " + CanonExpr(schema, *cmd.b, c) + ")";
     case CommandKind::kRLink:
-      return "rlink<r" + std::to_string(c.ctx->RelationId(cmd.relation)) + ">(" +
-             CanonExpr(schema, *cmd.a, c) + ", " + CanonExpr(schema, *cmd.b, c) + ")";
+      return "rlink<r" + c.Relation(cmd.relation) + ">(" + CanonExpr(schema, *cmd.a, c) +
+             ", " + CanonExpr(schema, *cmd.b, c) + ")";
     case CommandKind::kClearLinks:
-      return "clearlinks<r" + std::to_string(c.ctx->RelationId(cmd.relation)) + ">(" +
-             CanonExpr(schema, *cmd.a, c) + (cmd.forward ? ", forward)" : ", backward)");
+      return "clearlinks<r" + c.Relation(cmd.relation) + ">(" + CanonExpr(schema, *cmd.a, c) +
+             (cmd.forward ? ", forward)" : ", backward)");
   }
   NOCTUA_UNREACHABLE("bad command kind");
 }
 
 }  // namespace
 
+CanonicalTemplate CanonicalPathTemplate(const Schema& schema, const CodePath& path) {
+  CanonPathCtx c;
+  std::string raw = "args(";
+  for (const ArgDef& a : path.args) {
+    raw += "a" + std::to_string(c.ArgId(a.name)) + ":" + CanonType(a.type, c);
+    if (a.unique_id) {
+      raw += "!";
+    }
+    raw += ";";
+  }
+  raw += ")";
+  for (const Command& cmd : path.commands) {
+    raw += " " + CanonCommand(schema, cmd, c) + ";";
+  }
+
+  CanonicalTemplate t;
+  t.calls_ = std::move(c.calls);
+  t.text_.reserve(raw.size());
+  for (size_t i = 0; i < raw.size(); ++i) {
+    if (raw[i] != kMark) {
+      t.text_ += raw[i];
+      continue;
+    }
+    NOCTUA_CHECK(i + 4 < raw.size());
+    uint32_t index = 0;
+    for (int b = 3; b >= 0; --b) {
+      index = (index << 8) | static_cast<unsigned char>(raw[i + 1 + static_cast<size_t>(b)]);
+    }
+    i += 4;
+    if (index == kLiteralMark) {
+      t.text_ += kMark;
+    } else {
+      NOCTUA_CHECK(index < t.calls_.size());
+      t.holes_.push_back(CanonicalTemplate::Hole{t.text_.size(), index});
+    }
+  }
+  return t;
+}
+
+void CanonicalTemplate::Render(CanonicalizationCtx* ctx, std::string* out) const {
+  // Replay in call order, not text order: the printer's `+` chains evaluate their
+  // operands in an unspecified order, and first-use numbering must follow the calls.
+  constexpr size_t kInline = 64;
+  int inline_ids[kInline];
+  std::vector<int> heap_ids;
+  int* ids = inline_ids;
+  if (calls_.size() > kInline) {
+    heap_ids.resize(calls_.size());
+    ids = heap_ids.data();
+  }
+  for (size_t k = 0; k < calls_.size(); ++k) {
+    ids[k] = calls_[k].relation ? ctx->RelationId(calls_[k].id) : ctx->ModelId(calls_[k].id);
+  }
+  size_t pos = 0;
+  for (const Hole& h : holes_) {
+    out->append(text_, pos, h.offset - pos);
+    *out += std::to_string(ids[h.call]);
+    pos = h.offset;
+  }
+  out->append(text_, pos, std::string::npos);
+}
+
 std::string CanonicalPath(const Schema& schema, const CodePath& path,
                           CanonicalizationCtx* ctx) {
-  CanonPathCtx c;
-  c.ctx = ctx;
-  std::string out = "args(";
-  for (const ArgDef& a : path.args) {
-    out += "a" + std::to_string(c.ArgId(a.name)) + ":" + CanonType(a.type, ctx);
-    if (a.unique_id) {
-      out += "!";
-    }
-    out += ";";
-  }
-  out += ")";
-  for (const Command& cmd : path.commands) {
-    out += " " + CanonCommand(schema, cmd, c) + ";";
-  }
+  std::string out;
+  CanonicalPathTemplate(schema, path).Render(ctx, &out);
   return out;
 }
 

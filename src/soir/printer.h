@@ -3,7 +3,7 @@
 #ifndef SRC_SOIR_PRINTER_H_
 #define SRC_SOIR_PRINTER_H_
 
-#include <map>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -36,6 +36,15 @@ std::string PrintCodePath(const Schema& schema, const CodePath& path);
 // flags, relation kinds and delete behavior — is captured by SchemaSignature(), which
 // renders the schema fragment for exactly the models/relations mentioned so far, in
 // canonical order. A fingerprint is only valid as (canonical paths + schema signature).
+//
+// Printing is split from numbering. CanonicalPathTemplate prints a path once, with no
+// context: its text has a hole wherever a canonical id goes, and it records the
+// ModelId/RelationId calls the printer made, with their absolute ids, in call order.
+// Printing a path makes the same calls whatever the context holds; only the returned
+// ids differ. So Render, which replays the calls on a context and fills each hole with
+// its call's result, reproduces the context-bound rendering byte for byte. The verifier
+// prints each path's template once per run and renders a pair's fingerprint from the
+// two templates; CanonicalPath is the same thing for one path.
 class CanonicalizationCtx {
  public:
   explicit CanonicalizationCtx(const Schema& schema) : schema_(schema) {}
@@ -57,14 +66,45 @@ class CanonicalizationCtx {
 
  private:
   const Schema& schema_;
-  std::map<int, int> model_map_;
-  std::map<int, int> relation_map_;
+  // Absolute id -> canonical id (-1 = unassigned), sized to the schema on first use.
+  std::vector<int> model_map_;
+  std::vector<int> relation_map_;
   std::vector<int> models_;
   std::vector<int> relations_;
 };
 
-// Renders `path` canonically under `ctx` (see above). Argument names are canonicalized
-// per path in declaration order, mirroring the encoder's pre-registration order.
+// One path's canonical rendering, independent of any renaming context (see above).
+class CanonicalTemplate {
+ public:
+  // One ModelId (relation = false) or RelationId call, by absolute id.
+  struct Call {
+    int id = 0;
+    bool relation = false;
+  };
+
+  // Replays the recorded calls on `ctx`, in call order, and appends the text with every
+  // hole filled by the canonical id its call returned.
+  void Render(CanonicalizationCtx* ctx, std::string* out) const;
+
+ private:
+  friend CanonicalTemplate CanonicalPathTemplate(const Schema& schema, const CodePath& path);
+
+  // The id of calls_[call] goes at byte `offset` of text_.
+  struct Hole {
+    size_t offset = 0;
+    uint32_t call = 0;
+  };
+
+  std::vector<Call> calls_;
+  std::string text_;         // the rendering with the ids cut out; exact, any bytes
+  std::vector<Hole> holes_;  // ascending offset
+};
+
+// Prints `path` canonically (see above). Argument names are canonicalized per path in
+// declaration order, mirroring the encoder's pre-registration order.
+CanonicalTemplate CanonicalPathTemplate(const Schema& schema, const CodePath& path);
+
+// Renders `path` canonically under `ctx`: CanonicalPathTemplate(schema, path).Render(ctx).
 std::string CanonicalPath(const Schema& schema, const CodePath& path, CanonicalizationCtx* ctx);
 
 }  // namespace noctua::soir

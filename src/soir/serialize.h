@@ -28,7 +28,10 @@ namespace noctua::soir {
 
 // Bump when the serialized form of any artifact changes incompatibly. Readers reject
 // files written under any other version (the caller falls back to a cold run).
-inline constexpr int64_t kArtifactVersion = 1;
+//   v1: verdict stores keyed by the full key text.
+//   v2: verdict stores keyed by the key text's 128-bit digest, with the verdict-deciding
+//       checker options folded into the text; timeouts are never stored.
+inline constexpr int64_t kArtifactVersion = 2;
 
 // --- Token stream ---------------------------------------------------------------------------
 //

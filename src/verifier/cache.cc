@@ -6,13 +6,12 @@
 #include <utility>
 #include <vector>
 
-#include "src/soir/printer.h"
+#include "src/smt/backend.h"
 #include "src/soir/serialize.h"
-#include "src/verifier/encoder.h"
 
 namespace noctua::verifier {
 
-std::optional<CheckOutcome> VerdictCache::Lookup(const std::string& key) {
+std::optional<CheckOutcome> VerdictCache::Lookup(const VerdictKey& key) {
   auto entry = LookupEntry(key);
   if (!entry) {
     return std::nullopt;
@@ -20,7 +19,7 @@ std::optional<CheckOutcome> VerdictCache::Lookup(const std::string& key) {
   return entry->outcome;
 }
 
-std::optional<VerdictCache::Entry> VerdictCache::LookupEntry(const std::string& key) {
+std::optional<VerdictCache::Entry> VerdictCache::LookupEntry(const VerdictKey& key) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lk(shard.mu);
   auto it = shard.map.find(key);
@@ -34,20 +33,25 @@ std::optional<VerdictCache::Entry> VerdictCache::LookupEntry(const std::string& 
   return it->second;
 }
 
-void VerdictCache::Insert(const std::string& key, CheckOutcome outcome) {
+void VerdictCache::Insert(const VerdictKey& key, CheckOutcome outcome) {
+  if (outcome == CheckOutcome::kTimeout) {
+    return;
+  }
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lk(shard.mu);
-  InsertLocked(shard, key, Entry{outcome, false});
+  if (InsertLocked(shard, key, Entry{outcome, false})) {
+    computed_.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 // Inserts under the shard lock, evicting FIFO when a bounded shard is at its share of
 // the capacity. Duplicate keys keep the existing entry (and do not re-enter the FIFO).
-void VerdictCache::InsertLocked(Shard& shard, const std::string& key, Entry entry) {
+bool VerdictCache::InsertLocked(Shard& shard, const VerdictKey& key, Entry entry) {
   if (!shard.map.emplace(key, entry).second) {
-    return;
+    return false;
   }
   if (capacity_ == 0) {
-    return;
+    return true;
   }
   shard.fifo.push_back(key);
   size_t shard_capacity = std::max<size_t>(1, capacity_ / kShards);
@@ -57,6 +61,7 @@ void VerdictCache::InsertLocked(Shard& shard, const std::string& key, Entry entr
     ++shard.evictions;
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
+  return true;
 }
 
 std::vector<VerdictCache::ShardStats> VerdictCache::PerShardStats() const {
@@ -82,8 +87,10 @@ namespace {
 constexpr size_t kMaxVerdicts = 10000000;
 }  // namespace
 
+// Store layout: "noctua-verdicts" <version> <count>, then per entry the key digest as
+// 32 hex digits (a quoted string) and the outcome's integer value, sorted by digest.
 bool VerdictCache::SaveToFile(const std::string& path) const {
-  std::vector<std::pair<std::string, CheckOutcome>> entries;
+  std::vector<std::pair<VerdictKey, CheckOutcome>> entries;
   for (const Shard& s : shards_) {
     std::lock_guard<std::mutex> lk(const_cast<Shard&>(s).mu);
     for (const auto& [key, entry] : s.map) {
@@ -97,7 +104,7 @@ bool VerdictCache::SaveToFile(const std::string& path) const {
   w.Int(soir::kArtifactVersion);
   w.Int(static_cast<int64_t>(entries.size()));
   for (const auto& [key, outcome] : entries) {
-    w.Str(key);
+    w.Str(key.digest.Hex());
     w.Int(static_cast<int64_t>(outcome));
   }
 
@@ -125,16 +132,22 @@ bool VerdictCache::LoadFromFile(const std::string& path) {
   size_t n = r.Count(kMaxVerdicts);
   // Parse everything before touching the cache: a corrupted tail must not leave a
   // half-loaded store behind.
-  std::vector<std::pair<std::string, CheckOutcome>> entries;
+  std::vector<std::pair<VerdictKey, CheckOutcome>> entries;
   entries.reserve(n);
   for (size_t i = 0; r.ok() && i < n; ++i) {
-    std::string key = r.Str();
-    int64_t outcome = r.Int();
-    if (outcome < 0 || outcome > static_cast<int64_t>(CheckOutcome::kUnsupported)) {
+    VerdictKey key;
+    if (!Hash128::FromHex(r.Str(), &key.digest)) {
       r.Fail();
       break;
     }
-    entries.emplace_back(std::move(key), static_cast<CheckOutcome>(outcome));
+    int64_t outcome = r.Int();
+    // A timeout is never saved, so a store carrying one is not ours to trust.
+    if (outcome < 0 || outcome > static_cast<int64_t>(CheckOutcome::kUnsupported) ||
+        outcome == static_cast<int64_t>(CheckOutcome::kTimeout)) {
+      r.Fail();
+      break;
+    }
+    entries.emplace_back(key, static_cast<CheckOutcome>(outcome));
   }
   if (!r.ok() || !r.AtEnd()) {
     return false;
@@ -147,49 +160,89 @@ bool VerdictCache::LoadFromFile(const std::string& path) {
   return true;
 }
 
-namespace {
+// --- Key texts -----------------------------------------------------------------------------
 
-// Appends the order-membership vector: for each model the pair mentions (canonical
-// order), whether its insertion order participates in the encoding. Membership of
-// *unmentioned* models is irrelevant — they are projected out of the query.
-std::string OrderPart(const soir::CanonicalizationCtx& ctx, const std::set<int>& order_models) {
-  std::string out = "|ord:";
-  for (int m : ctx.models()) {
-    out += order_models.count(m) != 0 ? '1' : '0';
-  }
-  return out;
+PairKeyText::PairKeyText(const soir::Schema& schema, const soir::CanonicalTemplate& p,
+                         const soir::CanonicalTemplate& q)
+    : ctx_(schema) {
+  p.Render(&ctx_, &paths_);
+  paths_ += '|';
+  q.Render(&ctx_, &paths_);
+  signature_ = ctx_.SchemaSignature();
 }
 
-}  // namespace
+std::string PairKeyText::Text(std::string_view rule, const std::set<int>& order_models) const {
+  std::string key;
+  key.reserve(rule.size() + paths_.size() + signature_.size() + ctx_.models().size() + 8);
+  key += rule;
+  key += '|';
+  key += paths_;
+  // The order-membership vector: for each model the pair mentions (canonical order),
+  // whether its insertion order participates in the encoding. Membership of
+  // *unmentioned* models is irrelevant — they are projected out of the query.
+  key += "|ord:";
+  for (int m : ctx_.models()) {
+    key += order_models.count(m) != 0 ? '1' : '0';
+  }
+  key += '|';
+  key += signature_;
+  return key;
+}
+
+VerdictKeyer::VerdictKeyer(const CheckerOptions& options) : scope_(options.solver.scope) {
+  // Verdicts are backend-independent (the cross-backend soundness contract); the tag
+  // keeps each backend's entries apart all the same, and the dfs default stays untagged.
+  const smt::BackendKind kind = smt::ResolveBackendKind(options.solver.backend);
+  if (kind != smt::BackendKind::kDfs) {
+    prefix_ = std::string(smt::BackendKindName(kind)) + "|";
+  }
+  auto bit = [](bool b) { return b ? '1' : '0'; };
+  prefix_ += "opt:k" + std::to_string(scope_.default_size()) + ",i" +
+             std::to_string(options.solver.max_int_domain) + ",s" +
+             std::to_string(options.solver.max_string_domain) + ",o" +
+             bit(options.encoder.use_order) + ",u" +
+             bit(options.encoder.unique_id_optimization) + ",f" +
+             bit(options.fresh_origin_states) + ",p" + bit(options.project_footprint) + "|";
+}
+
+std::string VerdictKeyer::Material(const std::string& key_text,
+                                   const soir::CanonicalizationCtx& ctx) const {
+  std::string material = prefix_ + key_text;
+  if (scope_.HasModelSizes()) {
+    std::string sizes;
+    for (size_t k = 0; k < ctx.models().size(); ++k) {
+      int size = scope_.RefSize(ctx.models()[k]);
+      if (size != scope_.default_size()) {
+        sizes += "m" + std::to_string(k) + "=" + std::to_string(size) + ";";
+      }
+    }
+    if (!sizes.empty()) {
+      material += "|scope:" + sizes;
+    }
+  }
+  return material;
+}
+
+VerdictKey VerdictKeyer::Key(const std::string& key_text,
+                             const soir::CanonicalizationCtx& ctx) const {
+  return VerdictKey(Material(key_text, ctx));
+}
 
 std::string CommutativityKey(const soir::Schema& schema, const soir::CodePath& p,
                              const soir::CodePath& q, const std::set<int>& order_models) {
-  soir::CanonicalizationCtx ctx(schema);
-  std::string key = "com|";
-  key += soir::CanonicalPath(schema, p, &ctx);
-  key += "|";
-  key += soir::CanonicalPath(schema, q, &ctx);
-  key += OrderPart(ctx, order_models);
-  key += "|";
-  key += ctx.SchemaSignature();
-  return key;
+  return PairKeyText(schema, soir::CanonicalPathTemplate(schema, p),
+                     soir::CanonicalPathTemplate(schema, q))
+      .Text("com", order_models);
 }
 
 std::string NotInvalidateKey(const soir::Schema& schema, const soir::CodePath& p,
                              const soir::CodePath& q) {
-  std::set<int> order = Encoder::OrderRelevantModels(p);
-  std::set<int> oq = Encoder::OrderRelevantModels(q);
+  std::set<int> order = soir::OrderRelevantModels(p);
+  std::set<int> oq = soir::OrderRelevantModels(q);
   order.insert(oq.begin(), oq.end());
-
-  soir::CanonicalizationCtx ctx(schema);
-  std::string key = "ni|";
-  key += soir::CanonicalPath(schema, p, &ctx);
-  key += "|";
-  key += soir::CanonicalPath(schema, q, &ctx);
-  key += OrderPart(ctx, order);
-  key += "|";
-  key += ctx.SchemaSignature();
-  return key;
+  return PairKeyText(schema, soir::CanonicalPathTemplate(schema, p),
+                     soir::CanonicalPathTemplate(schema, q))
+      .Text("ni", order);
 }
 
 }  // namespace noctua::verifier

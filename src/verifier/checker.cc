@@ -28,10 +28,60 @@ const char* CheckOutcomeName(CheckOutcome o) {
   return "?";
 }
 
-bool Checker::Independent(const soir::CodePath& p, const soir::CodePath& q) const {
-  std::vector<int> rp, wp, relp, rq, wq, relq;
-  p.CollectFootprint(schema_, &rp, &wp, &relp);
-  q.CollectFootprint(schema_, &rq, &wq, &relq);
+PathFacts::PathFacts(const soir::Schema& schema, const soir::CodePath& p)
+    : path(&p),
+      order_models(soir::OrderRelevantModels(p)),
+      canon(soir::CanonicalPathTemplate(schema, p)) {
+  p.CollectFootprint(schema, &models_read, &models_written, &relations);
+
+  // The scope closure: every model/relation the path can reach through expressions,
+  // commands, relation paths, argument types, relation endpoints, or delete-incident
+  // relations.
+  auto add_model = [&](int m) {
+    if (m >= 0) {
+      scope_models.push_back(m);
+    }
+  };
+  auto add_relation = [&](int r) {
+    if (r < 0) {
+      return;
+    }
+    scope_relations.push_back(r);
+    // Endpoints of every active relation are active: referential-integrity axioms and
+    // traversal encodings mention both sides.
+    const soir::RelationDef& rel = schema.relation(r);
+    add_model(rel.from_model);
+    add_model(rel.to_model);
+  };
+  for (const soir::ArgDef& a : p.args) {
+    add_model(a.type.model_id);  // unique-id axioms reference the arg's model state
+  }
+  soir::VisitExprs(p, [&](const soir::Expr& e) {
+    add_model(e.type.model_id);
+    for (const soir::RelStep& rs : e.rel_path) {
+      add_relation(rs.relation);
+    }
+  });
+  for (const soir::Command& cmd : p.commands) {
+    add_relation(cmd.relation);
+    if (cmd.kind == soir::CommandKind::kDelete) {
+      // Deletes rewrite every incident relation.
+      int m = cmd.a->type.model_id;
+      for (size_t r = 0; r < schema.num_relations(); ++r) {
+        const soir::RelationDef& rel = schema.relation(static_cast<int>(r));
+        if (rel.from_model == m || rel.to_model == m) {
+          add_relation(static_cast<int>(r));
+        }
+      }
+    }
+  }
+  for (std::vector<int>* v : {&scope_models, &scope_relations}) {
+    std::sort(v->begin(), v->end());
+    v->erase(std::unique(v->begin(), v->end()), v->end());
+  }
+}
+
+bool Checker::Independent(const PathFacts& p, const PathFacts& q) {
   auto intersects = [](const std::vector<int>& a, const std::vector<int>& b) {
     return std::any_of(a.begin(), a.end(), [&](int x) {
       return std::find(b.begin(), b.end(), x) != b.end();
@@ -40,63 +90,27 @@ bool Checker::Independent(const soir::CodePath& p, const soir::CodePath& q) cons
   // Writes of one side may not touch anything the other side reads or writes, and the two
   // sides may not touch a common relation (we do not split relation reads from writes, so
   // this is conservative).
-  if (intersects(wp, rq) || intersects(wp, wq) || intersects(wq, rp)) {
+  if (intersects(p.models_written, q.models_read) ||
+      intersects(p.models_written, q.models_written) ||
+      intersects(q.models_written, p.models_read)) {
     return false;
   }
-  if (intersects(relp, relq)) {
+  if (intersects(p.relations, q.relations)) {
     return false;
   }
   return true;
 }
 
-Checker::PairScope Checker::ComputeScope(const soir::CodePath& p,
-                                         const soir::CodePath& q) const {
+Checker::PairScope Checker::ComputeScope(const PathFacts& p, const PathFacts& q) const {
   PairScope s;
-  auto add_model = [&](int m) {
-    if (m >= 0) {
-      s.models.insert(m);
-    }
-  };
-  auto add_relation = [&](int r) {
-    if (r < 0 || !s.relations.insert(r).second) {
-      return;
-    }
-    // Endpoints of every active relation are active: referential-integrity axioms and
-    // traversal encodings mention both sides.
-    const soir::RelationDef& rel = schema_.relation(r);
-    add_model(rel.from_model);
-    add_model(rel.to_model);
-  };
-  auto add_path = [&](const soir::CodePath& path) {
-    for (const soir::ArgDef& a : path.args) {
-      add_model(a.type.model_id);  // unique-id axioms reference the arg's model state
-    }
-    soir::VisitExprs(path, [&](const soir::Expr& e) {
-      add_model(e.type.model_id);
-      for (const soir::RelStep& rs : e.rel_path) {
-        add_relation(rs.relation);
-      }
-    });
-    for (const soir::Command& cmd : path.commands) {
-      add_relation(cmd.relation);
-      if (cmd.kind == soir::CommandKind::kDelete) {
-        // Deletes rewrite every incident relation.
-        int m = cmd.a->type.model_id;
-        for (size_t r = 0; r < schema_.num_relations(); ++r) {
-          const soir::RelationDef& rel = schema_.relation(static_cast<int>(r));
-          if (rel.from_model == m || rel.to_model == m) {
-            add_relation(static_cast<int>(r));
-          }
-        }
-      }
-    }
-  };
-  add_path(p);
-  add_path(q);
+  s.models.insert(p.scope_models.begin(), p.scope_models.end());
+  s.models.insert(q.scope_models.begin(), q.scope_models.end());
+  s.relations.insert(p.scope_relations.begin(), p.scope_relations.end());
+  s.relations.insert(q.scope_relations.begin(), q.scope_relations.end());
   return s;
 }
 
-void Checker::ApplyProjection(const soir::CodePath& p, const soir::CodePath& q,
+void Checker::ApplyProjection(const PathFacts& p, const PathFacts& q,
                               EncoderOptions* enc_options) const {
   if (!options_.project_footprint) {
     return;
@@ -203,28 +217,35 @@ CheckOutcome Checker::RunSolverOn(smt::SolverBackend& backend, smt::TermFactory&
 CheckOutcome Checker::CheckCommutativity(const soir::CodePath& p, const soir::CodePath& q,
                                          const std::set<int>* order_models,
                                          CheckStats* stats) const {
-  Stopwatch watch;
-  if (options_.independence_prefilter && Independent(p, q)) {
-    if (stats != nullptr) {
-      stats->prefiltered = true;
-      stats->seconds = watch.ElapsedSeconds();
-    }
-    return CheckOutcome::kPass;
-  }
-
+  PathFacts fp(schema_, p);
+  PathFacts fq(schema_, q);
   // Order information is materialized only for models whose order this pair (or, when
   // provided by the caller, any operation of the app) observes — the decoupling of §4.2.
   std::set<int> order;
   if (order_models != nullptr) {
     order = *order_models;
   } else {
-    order = Encoder::OrderRelevantModels(p);
-    std::set<int> oq = Encoder::OrderRelevantModels(q);
-    order.insert(oq.begin(), oq.end());
+    order = fp.order_models;
+    order.insert(fq.order_models.begin(), fq.order_models.end());
   }
+  return Commutativity(fp, fq, order, stats);
+}
+
+CheckOutcome Checker::Commutativity(const PathFacts& fp, const PathFacts& fq,
+                                    const std::set<int>& order, CheckStats* stats) const {
+  Stopwatch watch;
+  if (Prefilterable(fp, fq)) {
+    if (stats != nullptr) {
+      stats->prefiltered = true;
+      stats->seconds = watch.ElapsedSeconds();
+    }
+    return CheckOutcome::kPass;
+  }
+  const soir::CodePath& p = *fp.path;
+  const soir::CodePath& q = *fq.path;
   EncoderOptions enc_options = options_.encoder;
   enc_options.order_models = order;
-  ApplyProjection(p, q, &enc_options);
+  ApplyProjection(fp, fq, &enc_options);
 
   // The encode span covers query construction (path application, axioms); it ends just
   // before RunSolver opens the solve span.
@@ -292,23 +313,25 @@ CheckOutcome Checker::CheckCommutativity(const soir::CodePath& p, const soir::Co
 
 CheckOutcome Checker::CheckNotInvalidate(const soir::CodePath& p, const soir::CodePath& q,
                                          CheckStats* stats) const {
+  return NotInvalidate(PathFacts(schema_, p), PathFacts(schema_, q), stats);
+}
+
+CheckOutcome Checker::NotInvalidate(const PathFacts& fp, const PathFacts& fq,
+                                    CheckStats* stats) const {
   Stopwatch watch;
-  if (options_.independence_prefilter && Independent(p, q)) {
+  if (Prefilterable(fp, fq)) {
     if (stats != nullptr) {
       stats->prefiltered = true;
       stats->seconds = watch.ElapsedSeconds();
     }
     return CheckOutcome::kPass;
   }
-
+  const soir::CodePath& p = *fp.path;
+  const soir::CodePath& q = *fq.path;
   EncoderOptions enc_options = options_.encoder;
-  {
-    std::set<int> order = Encoder::OrderRelevantModels(p);
-    std::set<int> oq = Encoder::OrderRelevantModels(q);
-    order.insert(oq.begin(), oq.end());
-    enc_options.order_models = order;
-  }
-  ApplyProjection(p, q, &enc_options);
+  enc_options.order_models = fp.order_models;
+  enc_options.order_models.insert(fq.order_models.begin(), fq.order_models.end());
+  ApplyProjection(fp, fq, &enc_options);
 
   std::optional<obs::ScopedSpan> encode_span;
   encode_span.emplace("encode_ni", obs::kCatEncode);
@@ -366,7 +389,9 @@ CheckOutcome Checker::CheckSemantic(const soir::CodePath& p, const soir::CodePat
 CheckOutcome Checker::CheckSemantic(const soir::CodePath& p, const soir::CodePath& q,
                                     CheckStats* stats, CheckStats* dir1_stats,
                                     CheckStats* dir2_stats) const {
-  PairSession session(*this, p, q);
+  PathFacts fp(schema_, p);
+  PathFacts fq(schema_, q);
+  PairSession session(*this, fp, fq);
   CheckStats s1, s2;
   CheckOutcome a = session.NotInvalidatePQ(&s1);
   CheckOutcome b = a == CheckOutcome::kPass ? session.NotInvalidateQP(&s2)
@@ -419,16 +444,13 @@ struct Checker::PairSession::Shared {
   bool ni_unsupported_qp = false;
 };
 
-Checker::PairSession::PairSession(const Checker& checker, const soir::CodePath& p,
-                                  const soir::CodePath& q,
-                                  const std::set<int>* order_models)
-    : checker_(checker), p_(p), q_(q) {
-  ni_order_ = Encoder::OrderRelevantModels(p);
-  std::set<int> oq = Encoder::OrderRelevantModels(q);
-  ni_order_.insert(oq.begin(), oq.end());
+Checker::PairSession::PairSession(const Checker& checker, const PathFacts& p,
+                                  const PathFacts& q, const std::set<int>* order_models)
+    : checker_(checker), fp_(p), fq_(q), p_(*p.path), q_(*q.path) {
+  ni_order_ = fp_.order_models;
+  ni_order_.insert(fq_.order_models.begin(), fq_.order_models.end());
   com_order_ = order_models != nullptr ? *order_models : ni_order_;
-  prefiltered_ =
-      checker_.options_.independence_prefilter && checker_.Independent(p_, q_);
+  prefiltered_ = checker_.Prefilterable(fp_, fq_);
 }
 
 Checker::PairSession::~PairSession() = default;
@@ -454,7 +476,7 @@ CheckOutcome Checker::PairSession::Commutativity(CheckStats* stats) {
   }
   EnsureShared();
   if (!shared_->incremental) {
-    return checker_.CheckCommutativity(p_, q_, &com_order_, stats);
+    return checker_.Commutativity(fp_, fq_, com_order_, stats);
   }
   Shared& sh = *shared_;
   if (!sh.com_built) {
@@ -463,7 +485,7 @@ CheckOutcome Checker::PairSession::Commutativity(CheckStats* stats) {
 
     EncoderOptions enc_options = checker_.options_.encoder;
     enc_options.order_models = com_order_;
-    checker_.ApplyProjection(p_, q_, &enc_options);
+    checker_.ApplyProjection(fp_, fq_, &enc_options);
     sh.com_enc = std::make_unique<Encoder>(checker_.schema_, &sh.factory, enc_options);
     Encoder& enc = *sh.com_enc;
 
@@ -539,7 +561,7 @@ void Checker::PairSession::BuildNiFrame() {
 
   EncoderOptions enc_options = checker_.options_.encoder;
   enc_options.order_models = ni_order_;
-  checker_.ApplyProjection(p_, q_, &enc_options);
+  checker_.ApplyProjection(fp_, fq_, &enc_options);
   sh.ni_enc = std::make_unique<Encoder>(checker_.schema_, &sh.factory, enc_options);
   Encoder& enc = *sh.ni_enc;
 
@@ -604,8 +626,7 @@ CheckOutcome Checker::PairSession::NotInvalidateDir(bool pq, CheckStats* stats) 
   }
   EnsureShared();
   if (!shared_->incremental) {
-    return pq ? checker_.CheckNotInvalidate(p_, q_, stats)
-              : checker_.CheckNotInvalidate(q_, p_, stats);
+    return pq ? checker_.NotInvalidate(fp_, fq_, stats) : checker_.NotInvalidate(fq_, fp_, stats);
   }
   Shared& sh = *shared_;
   BuildNiFrame();

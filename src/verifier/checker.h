@@ -20,6 +20,7 @@
 #include "src/smt/backend.h"
 #include "src/smt/solver.h"
 #include "src/soir/ast.h"
+#include "src/soir/printer.h"
 #include "src/verifier/encoder.h"
 
 namespace noctua::verifier {
@@ -55,6 +56,28 @@ struct CheckStats {
   bool prefiltered = false;
   bool cache_hit = false;  // verdict served by the report-level fingerprint cache
   bool replayed = false;   // the serving cache entry was loaded from a prior run's store
+};
+
+// What the verifier needs to know about one path on its own. AnalyzeRestrictions
+// computes these once per path and every pair the path is in reads them: the
+// independence prefilter, the cost estimate, PairSession and the verdict keys. Nothing
+// here depends on the partner path or on a renaming context.
+struct PathFacts {
+  PathFacts(const soir::Schema& schema, const soir::CodePath& path);
+
+  const soir::CodePath* path;
+  // CodePath::CollectFootprint: models read / written and relations touched.
+  std::vector<int> models_read;
+  std::vector<int> models_written;
+  std::vector<int> relations;
+  // This path's share of Checker::ComputeScope, sorted and unique: a pair's scope is
+  // the union of its two paths' shares.
+  std::vector<int> scope_models;
+  std::vector<int> scope_relations;
+  // Encoder::OrderRelevantModels.
+  std::set<int> order_models;
+  // The canonical rendering the verdict keys are composed from (soir/printer.h).
+  soir::CanonicalTemplate canon;
 };
 
 class Checker {
@@ -103,10 +126,11 @@ class Checker {
   // Both NotInvalidate directions encode p's arguments with prefix "x" and q's with "y"
   // (the legacy direction two swaps them); verdicts are invariant under that renaming.
   //
-  // A session is single-threaded and must not outlive its Checker.
+  // A session is single-threaded and must not outlive its Checker, nor the PathFacts
+  // it was given.
   class PairSession {
    public:
-    PairSession(const Checker& checker, const soir::CodePath& p, const soir::CodePath& q,
+    PairSession(const Checker& checker, const PathFacts& p, const PathFacts& q,
                 const std::set<int>* order_models = nullptr);
     ~PairSession();
     PairSession(const PairSession&) = delete;
@@ -125,6 +149,8 @@ class Checker {
     CheckOutcome NotInvalidateDir(bool pq, CheckStats* stats);
 
     const Checker& checker_;
+    const PathFacts& fp_;
+    const PathFacts& fq_;
     const soir::CodePath& p_;
     const soir::CodePath& q_;
     std::set<int> com_order_;  // StateEq order set for the commutativity query
@@ -135,7 +161,7 @@ class Checker {
 
   // True when the prefilter would retire this pair without a solver call (footprints
   // provably disjoint). Exposed so the scheduler can retire such pairs first.
-  bool Prefilterable(const soir::CodePath& p, const soir::CodePath& q) const {
+  bool Prefilterable(const PathFacts& p, const PathFacts& q) const {
     return options_.independence_prefilter && Independent(p, q);
   }
 
@@ -146,7 +172,7 @@ class Checker {
     std::set<int> models;
     std::set<int> relations;
   };
-  PairScope ComputeScope(const soir::CodePath& p, const soir::CodePath& q) const;
+  PairScope ComputeScope(const PathFacts& p, const PathFacts& q) const;
 
   // Severity order of outcomes (pass < fail < timeout < unsupported): the worse of two
   // directions decides a semantic check.
@@ -154,7 +180,11 @@ class Checker {
 
  private:
   // True when the two paths' footprints are disjoint, so both rules trivially pass.
-  bool Independent(const soir::CodePath& p, const soir::CodePath& q) const;
+  static bool Independent(const PathFacts& p, const PathFacts& q);
+  // The rules on precomputed facts; the public CodePath methods wrap these.
+  CheckOutcome Commutativity(const PathFacts& p, const PathFacts& q,
+                             const std::set<int>& order, CheckStats* stats) const;
+  CheckOutcome NotInvalidate(const PathFacts& p, const PathFacts& q, CheckStats* stats) const;
   CheckOutcome RunSolver(smt::TermFactory& factory, const std::vector<smt::Term>& assertions,
                          bool any_unsupported, CheckStats* stats) const;
   // Runs a Check on an already-asserted backend and flushes the per-query solver
@@ -162,7 +192,7 @@ class Checker {
   CheckOutcome RunSolverOn(smt::SolverBackend& backend, smt::TermFactory& factory,
                            bool any_unsupported, CheckStats* stats) const;
   // Applies project_footprint to a per-check encoder configuration.
-  void ApplyProjection(const soir::CodePath& p, const soir::CodePath& q,
+  void ApplyProjection(const PathFacts& p, const PathFacts& q,
                        EncoderOptions* enc_options) const;
 
   const soir::Schema& schema_;

@@ -7,7 +7,6 @@
 
 #include "src/obs/obs.h"
 #include "src/smt/backend.h"
-#include "src/soir/serialize.h"
 #include "src/support/check.h"
 #include "src/support/rng.h"
 #include "src/support/stopwatch.h"
@@ -119,13 +118,33 @@ struct PairJob {
   uint64_t cost = 0;
 };
 
+// Size of the union of two sorted, duplicate-free vectors.
+size_t UnionSize(const std::vector<int>& a, const std::vector<int>& b) {
+  size_t n = 0;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] == b[j]) {
+      ++i;
+      ++j;
+    } else if (a[i] < b[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+    ++n;
+  }
+  return n + (a.size() - i) + (b.size() - j);
+}
+
 // A crude but monotone cost proxy: command count of both paths times the size of the
-// footprint closure the solver must reason about. Prefiltered pairs cost nothing.
-uint64_t EstimateCost(const Checker& checker, const soir::CodePath& p,
-                      const soir::CodePath& q) {
-  Checker::PairScope scope = checker.ComputeScope(p, q);
-  return static_cast<uint64_t>(p.commands.size() + q.commands.size()) *
-         static_cast<uint64_t>(1 + scope.models.size() + scope.relations.size());
+// footprint closure the solver must reason about (Checker::ComputeScope). Prefiltered
+// pairs cost nothing.
+uint64_t EstimateCost(const PathFacts& p, const PathFacts& q) {
+  size_t scope = UnionSize(p.scope_models, q.scope_models) +
+                 UnionSize(p.scope_relations, q.scope_relations);
+  return static_cast<uint64_t>(p.path->commands.size() + q.path->commands.size()) *
+         static_cast<uint64_t>(1 + scope);
 }
 
 }  // namespace
@@ -138,13 +157,19 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   obs::ScopedSpan run_span("AnalyzeRestrictions", obs::kCatVerify);
   const soir::Schema& schema = checker.schema();
 
+  // Everything a pair needs to know about each of its paths, computed once per path.
+  std::vector<PathFacts> facts;
+  facts.reserve(paths.size());
+  for (const soir::CodePath& p : paths) {
+    facts.emplace_back(schema, p);
+  }
+
   // Models whose insertion order any operation observes: their relative order is part of
   // state equality app-wide (a divergent order would be visible to those operations).
   // Read-only `observers` contribute here without being pair-checked themselves.
   std::set<int> order_models;
-  for (const soir::CodePath& p : paths) {
-    std::set<int> m = Encoder::OrderRelevantModels(p);
-    order_models.insert(m.begin(), m.end());
+  for (const PathFacts& f : facts) {
+    order_models.insert(f.order_models.begin(), f.order_models.end());
   }
   for (const soir::CodePath& p : observers) {
     std::set<int> m = Encoder::OrderRelevantModels(p);
@@ -159,8 +184,8 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
       PairJob job;
       job.i = i;
       job.j = j;
-      job.prefiltered = checker.Prefilterable(paths[i], paths[j]);
-      job.cost = job.prefiltered ? 0 : EstimateCost(checker, paths[i], paths[j]);
+      job.prefiltered = checker.Prefilterable(facts[i], facts[j]);
+      job.cost = job.prefiltered ? 0 : EstimateCost(facts[i], facts[j]);
       jobs.push_back(job);
     }
   }
@@ -177,18 +202,11 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   // A caller-provided store makes verdicts persistent across runs; its counters
   // accumulate, so report stats are computed as deltas from this snapshot. Only the
   // run-local cache may be bounded — evicting from a store would turn replayable
-  // verdicts into cold misses on the next warm run.
-  // Cache keys carry a backend tag for non-default backends. Verdicts themselves are
-  // backend-independent (the cross-backend soundness contract), but kTimeout is not: a
-  // query one backend finishes may exhaust another's budget, so entries must not leak
-  // across backends. The dfs default stays untagged to keep existing artifact stores
-  // replayable.
+  // verdicts into cold misses on the next warm run. Keys fold in the backend tag and
+  // the verdict-deciding checker options (see VerdictKeyer).
   const smt::BackendKind backend_kind =
       smt::ResolveBackendKind(checker.options().solver.backend);
-  const std::string backend_tag =
-      backend_kind == smt::BackendKind::kDfs
-          ? std::string()
-          : std::string(smt::BackendKindName(backend_kind)) + "|";
+  const VerdictKeyer keyer(checker.options());
   // This run's tallies accumulate into the caller's sink when one is provided (an
   // engine-owned sink keeps concurrent runs from reading each other's deltas), else
   // into the process-wide sink exactly as before.
@@ -218,9 +236,9 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   // answer every interleaving. Replayed hits (entries loaded from a prior store) are
   // additionally subject to paranoia sampling: a per-fingerprint coin decides whether to
   // re-solve and cross-check, so the audited subset is the same for any thread count.
-  auto cached_query = [&](const std::function<std::string()>& key_fn, CheckStats* cs,
+  auto cached_query = [&](const std::function<VerdictKey()>& key_fn, CheckStats* cs,
                           const std::function<CheckOutcome(CheckStats*)>& compute) {
-    std::string key;
+    VerdictKey key;
     if (use_cache) {
       key = key_fn();
       std::optional<VerdictCache::Entry> hit;
@@ -235,7 +253,7 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
         if (hit->replayed) {
           replayed_queries.fetch_add(1, std::memory_order_relaxed);
           if (parallel.paranoia > 0) {
-            Rng coin(soir::Fnv1a64(key) ^ parallel.paranoia_seed);
+            Rng coin(key.digest.h1 ^ parallel.paranoia_seed);
             if (coin.Chance(parallel.paranoia)) {
               CheckStats recheck;
               CheckOutcome fresh = compute(&recheck);
@@ -246,7 +264,8 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
                                "paranoia recheck disagrees with replayed verdict ("
                                    << CheckOutcomeName(fresh) << " vs "
                                    << CheckOutcomeName(hit->outcome)
-                                   << ") — the artifact store is corrupt; key: " << key);
+                                   << ") — the artifact store is corrupt; key: "
+                                   << key.digest.Hex());
             }
           }
         }
@@ -273,6 +292,8 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
     smt::ScopedSolverCounterSink scoped_sink(sink);
     obs::ScopedTraceContext trace_scope(trace_ctx);
     const PairJob& job = jobs[k];
+    const PathFacts& fp = facts[job.i];
+    const PathFacts& fq = facts[job.j];
     const soir::CodePath& p = paths[job.i];
     const soir::CodePath& q = paths[job.j];
     // Dynamic span name only when recording — the concatenation is not free.
@@ -293,11 +314,24 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
       // One session per pair: the commutativity query and both NotInvalidate directions
       // share a term factory, a backend, and the grounding of their common frame. Cache
       // keys are unchanged — a cache hit just skips the session's corresponding query.
-      Checker::PairSession session(checker, p, q, &order_models);
+      Checker::PairSession session(checker, fp, fq, &order_models);
+      // The commutativity key and NotInvalidate(p, q) render the pair in the same order;
+      // NotInvalidate(q, p) renders it mirrored, and only when direction one passes.
+      std::optional<PairKeyText> pq_text;
+      std::optional<PairKeyText> qp_text;
+      auto key = [&](std::optional<PairKeyText>& text, const PathFacts& a, const PathFacts& b,
+                     std::string_view rule, const std::set<int>& order) {
+        if (!text) {
+          text.emplace(schema, a.canon, b.canon);
+        }
+        return keyer.Key(text->Text(rule, order), text->ctx());
+      };
+      std::set<int> ni_order = fp.order_models;
+      ni_order.insert(fq.order_models.begin(), fq.order_models.end());
       Stopwatch com_watch;
       CheckStats cs;
       v.commutativity = cached_query(
-          [&] { return backend_tag + CommutativityKey(schema, p, q, order_models); }, &cs,
+          [&] { return key(pq_text, fp, fq, "com", order_models); }, &cs,
           [&](CheckStats* st) { return session.Commutativity(st); });
       v.com_seconds = com_watch.ElapsedSeconds();
       v.solver_nodes += cs.solver_nodes;
@@ -308,11 +342,11 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
       Stopwatch sem_watch;
       CheckStats s1, s2;
       CheckOutcome a =
-          cached_query([&] { return backend_tag + NotInvalidateKey(schema, p, q); }, &s1,
+          cached_query([&] { return key(pq_text, fp, fq, "ni", ni_order); }, &s1,
                        [&](CheckStats* st) { return session.NotInvalidatePQ(st); });
       CheckOutcome b = CheckOutcome::kPass;
       if (a == CheckOutcome::kPass) {
-        b = cached_query([&] { return backend_tag + NotInvalidateKey(schema, q, p); }, &s2,
+        b = cached_query([&] { return key(qp_text, fq, fp, "ni", ni_order); }, &s2,
                          [&](CheckStats* st) { return session.NotInvalidateQP(st); });
       }
       v.semantic = Checker::WorseOutcome(a, b);

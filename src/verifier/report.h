@@ -46,10 +46,11 @@ struct ParallelOptions {
   // the run persists the union. Ignored when `cache` is false. nullptr = run-local.
   VerdictCache* store = nullptr;
   // Probability of re-solving a *replayed* verdict anyway and CHECK-failing if the fresh
-  // outcome disagrees — a randomized audit of artifact integrity (FNV fingerprints are
-  // not cryptographic). Sampling is derandomized per fingerprint (seeded by the key and
-  // `paranoia_seed`), so the audited subset is thread-schedule independent. 0 disables;
-  // 1.0 re-solves everything replayed.
+  // outcome disagrees — a randomized audit of artifact integrity (key digests are not
+  // cryptographic, and a store can be corrupted in ways that still parse). Sampling is
+  // derandomized per key (the coin is seeded by the key's digest and `paranoia_seed`),
+  // so the audited subset is thread-schedule independent. 0 disables; 1.0 re-solves
+  // everything replayed.
   double paranoia = 0;
   uint64_t paranoia_seed = 0;
   // Entry bound for the RUN-LOCAL verdict cache (0 = unbounded). Evicted verdicts cost

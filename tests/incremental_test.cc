@@ -3,8 +3,10 @@
 // artifact store with its fail-closed loader; and O(change) re-verification — a warm
 // run must produce the byte-identical restriction set of a cold run while replaying
 // every verdict the edit did not touch.
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -13,10 +15,12 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/apps.h"
+#include "src/pipeline/engine.h"
 #include "src/pipeline/pipeline.h"
 #include "src/pipeline/session.h"
 #include "src/soir/printer.h"
 #include "src/soir/serialize.h"
+#include "src/support/hash.h"
 #include "src/verifier/cache.h"
 
 namespace noctua {
@@ -352,6 +356,289 @@ TEST(FingerprintAntiCollisionTest, SmallBankDigestsSeparateFieldSlots) {
   EXPECT_NE(digest.at("DepositChecking"), digest.at("SendPayment"));
 }
 
+// ------------------------------------------------------------------- composed key texts
+
+// The scripted developer edits that add new path shapes to Zhihu and OwnPhotos (the
+// edit workload of the benchmark): one added endpoint and one edited handler each,
+// plus a schema-only model rename.
+std::vector<app::App> EditedApps() {
+  std::vector<app::App> out;
+  auto stamped = [](app::App a) {
+    for (const app::View& view : a.views()) {
+      a.SetViewFingerprint(view.name, view.name + "@v1");
+    }
+    return a;
+  };
+  {
+    app::App a = stamped(apps::MakeZhihuApp());
+    a.AddView(
+        "DeleteDraft",
+        [](ViewCtx& v) {
+          SymObj author = v.Deref("User", v.ParamRef("user", "User"));
+          SymObj q = v.Deref("Question", v.ParamRef("question", "Question"));
+          SymSet drafts = v.M("Draft").filter("author", author).filter("question", q);
+          v.Guard(drafts.exists());
+          drafts.del();
+        },
+        "DeleteDraft@v1");
+    a.ReplaceView(
+        "VoteAnswer",
+        [](ViewCtx& v) {
+          SymObj user = v.Deref("User", v.ParamRef("user", "User"));
+          SymObj answer = v.M("Answer").get("id", v.ParamRef("answer", "Answer"));
+          v.GuardUniqueTogether("Vote", {{"user", user}, {"answer", answer}});
+          if (v.PostBool("positive")) {
+            v.Create("Vote", {{"positive", Sym(true)}}, {{"user", user}, {"answer", answer}});
+            answer.with("votes", answer.attr("votes") + 1).save();
+            SymObj author = answer.rel("author");
+            author.with("reputation", author.attr("reputation") + 25).save();
+          } else {
+            v.Create("Vote", {{"positive", Sym(false)}}, {{"user", user}, {"answer", answer}});
+            answer.with("votes", answer.attr("votes") - 1).save();
+          }
+        },
+        "VoteAnswer@v2");
+    out.push_back(std::move(a));
+  }
+  {
+    app::App a = stamped(apps::MakeOwnPhotosApp());
+    a.AddView(
+        "unhide_all",
+        [](ViewCtx& v) {
+          SymObj user = v.Deref("User", v.ParamRef("user", "User"));
+          v.ClearLinks("hidden_photos", user);
+        },
+        "unhide_all@v1");
+    a.ReplaceView(
+        "rate_photo",
+        [](ViewCtx& v) {
+          SymObj user = v.Deref("User", v.ParamRef("user", "User"));
+          SymObj photo = v.M("Photo").get("id", v.ParamRef("pk", "Photo"));
+          if (!(photo.rel("owner").ref() == user.ref())) {
+            v.Abort();
+          }
+          Sym rating = v.PostInt("rating");
+          v.Guard(rating >= 0);
+          v.Guard(rating <= 10);
+          photo.with("rating", rating).save();
+        },
+        "rate_photo@v2");
+    a.schema().RenameModel(a.schema().ModelId("Cluster"), "FaceCluster");
+    out.push_back(std::move(a));
+  }
+  return out;
+}
+
+// A pair's key text is composed from the two paths' templates, printed once per run;
+// it must equal the rendering of both paths on one shared context plus the order part
+// and the schema signature, byte for byte, for every ordered pair.
+TEST(ComposedKeyTest, EveryOrderedPairMatchesTheSharedContextRendering) {
+  std::vector<app::App> all;
+  for (const apps::AppEntry& entry : apps::EvaluatedApps()) {
+    all.push_back(entry.make());
+  }
+  for (app::App& a : EditedApps()) {
+    all.push_back(std::move(a));
+  }
+  LibraryConfig edited;
+  edited.min_copies = 5;
+  edited.with_review = true;
+  all.push_back(MakeLibraryApp(edited));
+  all.push_back(MakeLibraryApp(RenamedConfig("")));
+
+  for (const app::App& a : all) {
+    SCOPED_TRACE(a.name());
+    const soir::Schema& schema = a.schema();
+    const std::vector<soir::CodePath> paths = analyzer::AnalyzeApp(a).EffectfulPaths();
+    std::vector<verifier::PathFacts> facts;
+    std::set<int> app_order;
+    for (const soir::CodePath& p : paths) {
+      facts.emplace_back(schema, p);
+      app_order.insert(facts.back().order_models.begin(), facts.back().order_models.end());
+    }
+    size_t mismatches = 0;
+    for (size_t i = 0; i < paths.size(); ++i) {
+      for (size_t j = 0; j < paths.size(); ++j) {
+        std::set<int> ni_order = facts[i].order_models;
+        ni_order.insert(facts[j].order_models.begin(), facts[j].order_models.end());
+        soir::CanonicalizationCtx ctx(schema);
+        std::string body = soir::CanonicalPath(schema, paths[i], &ctx);  // p first
+        body += "|" + soir::CanonicalPath(schema, paths[j], &ctx);
+        auto bits = [&](const std::set<int>& order) {
+          std::string out = "|ord:";
+          for (int m : ctx.models()) {
+            out += order.count(m) != 0 ? '1' : '0';
+          }
+          return out + "|" + ctx.SchemaSignature();
+        };
+        const std::string com = "com|" + body + bits(app_order);
+        const std::string ni = "ni|" + body + bits(ni_order);
+
+        verifier::PairKeyText composed(schema, facts[i].canon, facts[j].canon);
+        bool ok = composed.Text("com", app_order) == com && composed.Text("ni", ni_order) == ni &&
+                  composed.ctx().models() == ctx.models() &&
+                  composed.ctx().relations() == ctx.relations();
+        // The public wrappers are the same composition.
+        if (i == j || (i + j) % 7 == 0) {
+          ok = ok && verifier::CommutativityKey(schema, paths[i], paths[j], app_order) == com &&
+               verifier::NotInvalidateKey(schema, paths[i], paths[j]) == ni;
+        }
+        if (!ok && ++mismatches <= 3) {
+          ADD_FAILURE() << "(" << paths[i].op_name << ", " << paths[j].op_name
+                        << ") composes a different key text";
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
+}
+
+// The template cuts ids out of the printed text with a marker byte; a string literal
+// carrying that byte (or anything that looks like an escaped marker) must come back
+// exactly.
+TEST(ComposedKeyTest, StringLiteralsWithTheMarkerByteRoundTrip) {
+  app::App a = apps::MakeSmallBankApp();
+  const std::string literals[] = {
+      std::string("\x01"),
+      std::string("a\x01\xff\xff\xff\xff" "b"),
+      std::string("\x01\x00\x00\x00\x00", 5),
+      std::string("\x01\x01\x01"),
+      std::string("plain"),
+  };
+  for (const std::string& lit : literals) {
+    soir::CodePath path;
+    path.op_name = "probe";
+    path.args.push_back(soir::ArgDef{"r", soir::Type::Ref(0), false});
+    path.args.push_back(soir::ArgDef{"s", soir::Type::String(), false});
+    soir::Command guard;
+    guard.kind = soir::CommandKind::kGuard;
+    guard.a = soir::MakeCmp(soir::CmpOp::kEq, soir::MakeArg("s", soir::Type::String()),
+                            soir::MakeStrLit(lit));
+    path.commands.push_back(guard);
+
+    soir::CanonicalizationCtx ctx(a.schema());
+    EXPECT_EQ(soir::CanonicalPath(a.schema(), path, &ctx),
+              "args(a0:R0;a1:s;) guard((a1 ==/s \"" + lit + "\"));")
+        << lit.size();
+    EXPECT_EQ(ctx.models(), std::vector<int>{0});
+  }
+}
+
+// --------------------------------------------------------------------- verdict key digests
+
+TEST(KeyDigestTest, Murmur3MatchesReferenceVectors) {
+  struct Vector {
+    std::string data;
+    const char* hex;
+  };
+  // The fox line is the algorithm's published vector (bytes 6c1b07bc...437a, read here
+  // as two little-endian words); the others cover every tail-length branch.
+  const Vector vectors[] = {
+      {"", "00000000000000000000000000000000"},
+      {"The quick brown fox jumps over the lazy dog", "e34bbc7bbc071b6c7a433ca9c49a9347"},
+      {"hello", "cbd8a7b341bd9b025b1e906a48ae1d19"},
+      {std::string(15, 'a'), "7d07a8dbfd2e7fbc8fa8044aa85ff959"},
+      {std::string(16, 'a'), "f2c1180d62aaa6ce6af6f3032bb23942"},
+      {std::string(17, 'a'), "6f7214c7cef2d698a4fdbc534edea5bb"},
+      {std::string(33, 'a'), "e02ec376f433d4bdaee356bb9dde9f01"},
+  };
+  for (const Vector& v : vectors) {
+    Hash128 h = Murmur3x64_128(v.data);
+    EXPECT_EQ(h.Hex(), v.hex) << v.data.size() << " bytes";
+    Hash128 back;
+    ASSERT_TRUE(Hash128::FromHex(h.Hex(), &back));
+    EXPECT_EQ(back, h);
+  }
+  Hash128 untouched{1, 2};
+  EXPECT_FALSE(Hash128::FromHex("abc", &untouched));
+  EXPECT_FALSE(Hash128::FromHex(std::string(32, 'g'), &untouched));
+  EXPECT_FALSE(Hash128::FromHex(std::string(32, 'A'), &untouched));
+  EXPECT_EQ(untouched, (Hash128{1, 2}));
+}
+
+TEST(KeyDigestTest, GoldenDigestOfAFixedKeyText) {
+  const std::string text =
+      "com|args(a0:R0;) guard(exists(filter(fpk ==/R0 a0, all<m0>)));|args(a0:R0;) "
+      "delete(filter(fpk ==/R0 a0, all<m0>))[];|ord:0|m0[i];";
+  EXPECT_EQ(verifier::VerdictKey(text).digest.Hex(), "18989f5c6f9f41fd63e9bb33315c2ad3");
+
+  // Under default options the digested text is the option prefix plus the key text.
+  verifier::CheckerOptions options;
+  options.solver.backend = smt::BackendKind::kDfs;
+  app::App a = apps::MakeSmallBankApp();
+  soir::CanonicalizationCtx ctx(a.schema());
+  verifier::VerdictKeyer keyer(options);
+  EXPECT_EQ(keyer.Material(text, ctx), "opt:k2,i8,s6,o1,u1,f1,p1|" + text);
+  EXPECT_EQ(keyer.Key(text, ctx).digest.Hex(), "b50b62b91598b1d315871456be48670f");
+}
+
+TEST(KeyDigestTest, OnlyVerdictDecidingOptionsSeparateKeys) {
+  app::App a = apps::MakeSmallBankApp();
+  soir::CanonicalizationCtx ctx(a.schema());
+  ctx.ModelId(0);
+  const std::string text = "com|x";
+  verifier::CheckerOptions base;
+  base.solver.backend = smt::BackendKind::kDfs;
+  const verifier::VerdictKey reference = verifier::VerdictKeyer(base).Key(text, ctx);
+  auto key_with = [&](const std::function<void(verifier::CheckerOptions&)>& change) {
+    verifier::CheckerOptions o = base;
+    change(o);
+    return verifier::VerdictKeyer(o).Key(text, ctx);
+  };
+
+  const std::vector<std::function<void(verifier::CheckerOptions&)>> deciding = {
+      [](verifier::CheckerOptions& o) { o.solver.scope = smt::Scope(3); },
+      [](verifier::CheckerOptions& o) { o.solver.scope.SetModelSize(0, 3); },
+      [](verifier::CheckerOptions& o) { o.solver.max_int_domain = 9; },
+      [](verifier::CheckerOptions& o) { o.solver.max_string_domain = 7; },
+      [](verifier::CheckerOptions& o) { o.solver.backend = smt::BackendKind::kCdcl; },
+      [](verifier::CheckerOptions& o) { o.encoder.use_order = false; },
+      [](verifier::CheckerOptions& o) { o.encoder.unique_id_optimization = false; },
+      [](verifier::CheckerOptions& o) { o.fresh_origin_states = false; },
+      [](verifier::CheckerOptions& o) { o.project_footprint = false; },
+  };
+  std::set<std::string> seen = {reference.digest.Hex()};
+  for (const auto& change : deciding) {
+    EXPECT_TRUE(seen.insert(key_with(change).digest.Hex()).second);
+  }
+  // A size override of a model the pair does not mention cannot change its verdict.
+  EXPECT_EQ(key_with([](verifier::CheckerOptions& o) { o.solver.scope.SetModelSize(1, 2); }),
+            reference);
+
+  // Speed-only options and the budget share verdicts.
+  const std::vector<std::function<void(verifier::CheckerOptions&)>> speed_only = {
+      [](verifier::CheckerOptions& o) { o.solver.symmetry = smt::Toggle::kOff; },
+      [](verifier::CheckerOptions& o) { o.solver.incremental = smt::Toggle::kOff; },
+      [](verifier::CheckerOptions& o) { o.independence_prefilter = false; },
+      [](verifier::CheckerOptions& o) { o.solver.budget.max_nodes = 10; },
+      [](verifier::CheckerOptions& o) { o.solver.budget.deterministic = true; },
+  };
+  for (const auto& change : speed_only) {
+    EXPECT_EQ(key_with(change), reference);
+  }
+}
+
+TEST(KeyDigestTest, TimeoutsAreNeverCachedAndAStoreCarryingOneFailsClosed) {
+  verifier::VerdictCache cache;
+  cache.Insert("slow", verifier::CheckOutcome::kTimeout);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.computed(), 0u);
+  cache.Insert("fast", verifier::CheckOutcome::kPass);
+  EXPECT_EQ(cache.computed(), 1u);
+
+  std::string file = TempStore("timeout_store") + ".verdicts";
+  soir::ArtifactWriter w;
+  w.Atom("noctua-verdicts");
+  w.Int(soir::kArtifactVersion);
+  w.Int(1);
+  w.Str(verifier::VerdictKey("slow").digest.Hex());
+  w.Int(static_cast<int64_t>(verifier::CheckOutcome::kTimeout));
+  WriteAll(file, w.str());
+  verifier::VerdictCache loaded;
+  EXPECT_FALSE(loaded.LoadFromFile(file));
+  EXPECT_EQ(loaded.size(), 0u);
+}
+
 // ------------------------------------------------------------------- incremental engine
 
 TEST(IncrementalTest, WarmRunReplaysEverythingWhenNothingChanged) {
@@ -505,6 +792,168 @@ TEST(IncrementalTest, RealAppsReplayByteIdentical) {
     EXPECT_EQ(VerdictLines(warm.run.restrictions), VerdictLines(cold.run.restrictions))
         << entry.name;
   }
+}
+
+TEST(IncrementalTest, PureReplayWritesNothingAndAnEditRewritesWhatChanged) {
+  std::string store = TempStore("write_skip");
+  Pipeline::RunIncremental(MakeLibraryApp(LibraryConfig{}), store, Opts());
+
+  // Backdate every file: a rewrite would move its modification time to now.
+  const char* files[] = {"manifest", "schema", "analysis", "verdicts"};
+  const auto backdated = std::filesystem::file_time_type::clock::now() - std::chrono::hours(1);
+  std::map<std::string, std::string> bytes;
+  for (const char* f : files) {
+    std::filesystem::last_write_time(store + "/" + f, backdated);
+    bytes[f] = ReadAll(store + "/" + f);
+  }
+  auto untouched = [&](const char* f) {
+    return std::filesystem::last_write_time(store + "/" + f) == backdated;
+  };
+
+  IncrementalResult replay = Pipeline::RunIncremental(MakeLibraryApp(LibraryConfig{}), store,
+                                                      Opts());
+  EXPECT_FALSE(replay.cold);
+  EXPECT_TRUE(replay.artifacts_saved);
+  EXPECT_EQ(replay.pairs_computed, 0u);
+  for (const char* f : files) {
+    EXPECT_TRUE(untouched(f)) << f << " was rewritten by a pure replay";
+    EXPECT_EQ(ReadAll(store + "/" + f), bytes[f]) << f;
+  }
+
+  // A handler edit computes new verdicts: the verdict store and the analysis are
+  // rewritten; the schema, and so the manifest, did not change.
+  LibraryConfig edited;
+  edited.min_copies = 5;
+  IncrementalResult edit = Pipeline::RunIncremental(MakeLibraryApp(edited), store, Opts());
+  EXPECT_FALSE(edit.cold);
+  EXPECT_GT(edit.pairs_computed, 0u);
+  EXPECT_FALSE(untouched("verdicts"));
+  EXPECT_NE(ReadAll(store + "/verdicts"), bytes["verdicts"]);
+  EXPECT_FALSE(untouched("analysis"));
+  EXPECT_TRUE(untouched("schema"));
+  EXPECT_TRUE(untouched("manifest"));
+
+  // The rewritten store replays the edited app completely.
+  IncrementalResult next = Pipeline::RunIncremental(MakeLibraryApp(edited), store, Opts());
+  EXPECT_FALSE(next.cold);
+  EXPECT_EQ(next.pairs_computed, 0u);
+  ExpectUnchangedPairsReplayed(next.run.restrictions, {});
+  EXPECT_EQ(VerdictLines(next.run.restrictions), VerdictLines(edit.run.restrictions));
+}
+
+TEST(IncrementalTest, VersionOneStoreReadsColdAndIsRewrittenAtVersionTwo) {
+  ASSERT_EQ(soir::kArtifactVersion, 2);
+  std::string store = TempStore("v1_store");
+  app::App a = MakeLibraryApp(LibraryConfig{});
+  IncrementalResult reference = Pipeline::RunIncremental(a, store, Opts());
+
+  // The same store as the previous format wrote it: version 1 throughout, verdicts keyed
+  // by their full text.
+  const std::pair<const char*, const char*> headed[] = {{"manifest", "noctua-manifest"},
+                                                         {"analysis", "noctua-analysis"}};
+  for (const auto& [file, head] : headed) {
+    std::string data = ReadAll(store + "/" + file);
+    const std::string v2 = std::string(head) + " 2 ";
+    ASSERT_EQ(data.rfind(v2, 0), 0u) << file;
+    WriteAll(store + "/" + file, std::string(head) + " 1 " + data.substr(v2.size()));
+  }
+  WriteAll(store + "/verdicts",
+           "noctua-verdicts 1 1 \"com|args() update(all<m0>);|args() update(all<m0>);"
+           "|ord:0|m0[];\" 0");
+
+  IncrementalResult v1 = Pipeline::RunIncremental(a, store, Opts());
+  EXPECT_TRUE(v1.cold);
+  EXPECT_TRUE(v1.artifacts_saved);
+  EXPECT_EQ(VerdictLines(v1.run.restrictions), VerdictLines(reference.run.restrictions));
+  for (const auto& [file, head] : headed) {
+    EXPECT_EQ(ReadAll(store + "/" + file).rfind(std::string(head) + " 2 ", 0), 0u) << file;
+  }
+  EXPECT_EQ(ReadAll(store + "/verdicts").rfind("noctua-verdicts 2 ", 0), 0u);
+
+  IncrementalResult warm = Pipeline::RunIncremental(a, store, Opts());
+  EXPECT_FALSE(warm.cold);
+  EXPECT_EQ(warm.pairs_computed, 0u);
+}
+
+// --------------------------------------------------------------- verdict cache soundness
+
+// One engine shares one verdict cache across runs, so a verdict computed under one set
+// of checker options must never answer a run under another.
+TEST(VerdictCacheSoundnessTest, OptionsChangeOnOneEngineDoesNotReplayStaleVerdicts) {
+  EngineConfig config;
+  config.solver = smt::BackendKind::kDfs;
+  Engine engine(config);
+  app::App zhihu = apps::MakeZhihuApp();
+  PipelineOptions options;
+  options.checker.solver.budget.deterministic = true;
+  PipelineResult with_uid = engine.Run(zhihu, options);
+  EXPECT_EQ(with_uid.restrictions.num_restrictions(), 44u);
+
+  options.checker.encoder.unique_id_optimization = false;
+  PipelineResult without_uid = engine.Run(zhihu, options);
+  EXPECT_EQ(without_uid.restrictions.num_restrictions(), 52u);
+  // §6.4: without the unique-ID assertion, CreateQuestion conflicts with itself.
+  bool create_self = false;
+  for (const verifier::PairVerdict& v : without_uid.restrictions.pairs) {
+    create_self = create_self || (v.Restricted() && v.p == v.q &&
+                                  v.p.rfind("CreateQuestion#", 0) == 0);
+  }
+  EXPECT_TRUE(create_self);
+}
+
+// A budget that ran out says nothing about the query: the timeout restricts this run's
+// pair but is neither cached nor written to the store, so the next run solves it.
+TEST(VerdictCacheSoundnessTest, TimeoutsAreNotStoredAndTheNextRunSolvesThePair) {
+  std::string store = TempStore("timeouts");
+  EngineConfig config;
+  config.solver = smt::BackendKind::kDfs;
+  Engine engine(config);
+  app::App zhihu = apps::MakeZhihuApp();
+  const std::string op = "DeleteAnswer#p1";
+  auto find_pair = [&](const verifier::RestrictionReport& report) {
+    for (const verifier::PairVerdict& v : report.pairs) {
+      if (v.p == op && v.q == op) {
+        return v;
+      }
+    }
+    ADD_FAILURE() << "no (" << op << ", " << op << ") pair";
+    return verifier::PairVerdict{};
+  };
+
+  IncrementalOptions starved = Opts();
+  starved.pipeline.checker.solver.backend = smt::BackendKind::kDfs;
+  starved.pipeline.checker.solver.budget.max_nodes = 20000;
+  IncrementalResult first = engine.RunIncremental(zhihu, store, starved);
+  ASSERT_EQ(find_pair(first.run.restrictions).commutativity, verifier::CheckOutcome::kTimeout);
+
+  // The store loads — one carrying a timeout would not — and lacks the query's key.
+  verifier::VerdictCache on_disk;
+  ASSERT_TRUE(on_disk.LoadFromFile(store + "/verdicts"));
+  const soir::Schema& schema = zhihu.schema();
+  std::vector<verifier::PathFacts> facts;
+  std::set<int> order;
+  for (const soir::CodePath& p : first.run.analysis.EffectfulPaths()) {
+    facts.emplace_back(schema, p);
+    order.insert(facts.back().order_models.begin(), facts.back().order_models.end());
+  }
+  const verifier::PathFacts* delete_answer = nullptr;
+  for (const verifier::PathFacts& f : facts) {
+    delete_answer = f.path->op_name == op ? &f : delete_answer;
+  }
+  ASSERT_NE(delete_answer, nullptr);
+  verifier::PairKeyText text(schema, delete_answer->canon, delete_answer->canon);
+  verifier::VerdictKeyer keyer(starved.pipeline.checker);
+  EXPECT_FALSE(on_disk.Lookup(keyer.Key(text.Text("com", order), text.ctx())).has_value());
+
+  IncrementalOptions full = Opts();
+  full.pipeline.checker.solver.backend = smt::BackendKind::kDfs;
+  full.paranoia = 1.0;
+  IncrementalResult next = engine.RunIncremental(zhihu, store, full);
+  EXPECT_FALSE(next.cold);
+  verifier::PairVerdict solved = find_pair(next.run.restrictions);
+  EXPECT_EQ(solved.provenance, verifier::PairProvenance::kComputed);
+  EXPECT_NE(solved.commutativity, verifier::CheckOutcome::kTimeout);
+  EXPECT_EQ(next.run.restrictions.stats.paranoia_rechecks, next.run.restrictions.stats.replayed);
 }
 
 // ---------------------------------------------------------------------------- paranoia

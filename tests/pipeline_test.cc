@@ -5,6 +5,7 @@
 // never which verdicts.
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -367,6 +368,21 @@ TEST(EngineTest, WarmEngineAnswersRepeatRunsFromItsVerdictCache) {
   EXPECT_GT(warm.restrictions.stats.cache_hits, 0u);
   EXPECT_EQ(warm.restrictions.RestrictedPairNames(),
             cold.restrictions.RestrictedPairNames());
+}
+
+TEST(EngineTest, IncrementalRunVerifiesOnTheEnginePool) {
+  // The verify stage of an incremental run must run on the calling engine: every pair is
+  // one task of the engine's own pool, and no throwaway engine (or pool) is built.
+  Engine engine{EngineConfig{}};
+  std::string store = ::testing::TempDir() + "/noctua_engine_pool";
+  std::filesystem::remove_all(store);
+  IncrementalOptions options;
+  options.pipeline.checker.solver.budget.deterministic = true;
+  const uint64_t before = engine.pool().stats().tasks;
+  IncrementalResult r = engine.RunIncremental(apps::MakeTodoApp(), store, options);
+  ASSERT_FALSE(r.run.restrictions.pairs.empty());
+  EXPECT_EQ(engine.pool().stats().tasks - before, r.run.restrictions.pairs.size());
+  EXPECT_EQ(r.run.restrictions.stats.pool_tasks, r.run.restrictions.pairs.size());
 }
 
 TEST(EngineTest, SequentialEnginesKeepIndependentSolverTallies) {
