@@ -9,6 +9,7 @@
 
 #include "src/analyzer/analyzer.h"
 #include "src/app/app.h"
+#include "src/obs/obs.h"
 #include "src/smt/backend.h"
 #include "src/support/strings.h"
 #include "src/verifier/report.h"
@@ -23,39 +24,29 @@ namespace noctua::bench {
 //   v3: preamble stamps the resolved solver backend and portfolio race tallies.
 //   v4: preamble stamps solver optimization tallies (incremental reuse, symmetry
 //       pruning, CDCL restarts/forgetting).
-inline constexpr int kBenchSchemaVersion = 4;
+//   v5: the cdcl and portfolio backends are gone: the preamble drops the portfolio
+//       object and the cdcl_* solver members; solver_backend always reads "dfs".
+inline constexpr int kBenchSchemaVersion = 5;
 
 // The leading members every BENCH_*.json document starts with. Callers embed it right
 // after their opening brace, once their runs are done:
 // json = "{" + BenchJsonPreamble("fault_sweep", sink) + ", ...".
 //
-// The backend members make sweep artifacts self-describing under NOCTUA_SOLVER: a
-// longitudinal regression between two commits means nothing if one ran dfs and the
-// other raced the portfolio. The portfolio and solver tallies are those `sink`
-// accumulated: the sink the bench routed its runs into (ParallelOptions::counters, or
-// an engine's counters()). They are zero for single backends.
+// The solver tallies are those `sink` accumulated: the sink the bench routed its runs
+// into (ParallelOptions::counters, or an engine's counters()).
 inline std::string BenchJsonPreamble(const std::string& bench_name,
                                      const smt::SolverCounterSink& sink) {
-  smt::PortfolioCounts pc = sink.Portfolio();
   smt::SolverSharedCounts sc = sink.Shared();
   return "\"bench\": \"" + bench_name +
          "\", \"schema_version\": " + std::to_string(kBenchSchemaVersion) +
-         ", \"solver_backend\": \"" +
-         smt::BackendKindName(smt::ResolveBackendKind(smt::BackendKind::kAuto)) +
-         "\", \"portfolio\": {\"races\": " + std::to_string(pc.races) +
-         ", \"wins_dfs\": " + std::to_string(pc.wins_dfs) +
-         ", \"wins_cdcl\": " + std::to_string(pc.wins_cdcl) +
-         ", \"undecided\": " + std::to_string(pc.undecided) +
-         "}, \"solver\": {\"incremental_reuse_hits\": " +
+         ", \"solver_backend\": \"" + smt::BackendKindName(smt::BackendKind::kDfs) +
+         "\", \"solver\": {\"incremental_reuse_hits\": " +
          std::to_string(sc.incremental_reuse_hits) +
-         ", \"symmetry_pruned_nodes\": " + std::to_string(sc.symmetry_pruned) +
-         ", \"cdcl_restarts\": " + std::to_string(sc.cdcl_restarts) +
-         ", \"cdcl_clauses_forgotten\": " + std::to_string(sc.cdcl_clauses_forgotten) + "}";
+         ", \"symmetry_pruned_nodes\": " + std::to_string(sc.symmetry_pruned) + "}";
 }
 
 // Percentiles of a sample set, exact by sorting (benches deal in hundreds of samples,
-// not millions). The rank is ceil(q*n), clamped to [1, n] — the value such that at
-// least q of the samples are <= it.
+// not millions), at obs::NearestRank.
 struct Percentiles {
   double p50 = 0;
   double p95 = 0;
@@ -68,11 +59,7 @@ inline Percentiles ComputePercentiles(std::vector<double> samples) {
     return out;
   }
   std::sort(samples.begin(), samples.end());
-  auto at = [&](double q) {
-    size_t rank = static_cast<size_t>(q * static_cast<double>(samples.size()) + 0.999999);
-    rank = std::max<size_t>(1, std::min(rank, samples.size()));
-    return samples[rank - 1];
-  };
+  auto at = [&](double q) { return samples[obs::NearestRank(q, samples.size()) - 1]; };
   out.p50 = at(0.50);
   out.p95 = at(0.95);
   out.p99 = at(0.99);

@@ -69,9 +69,8 @@ void BM_GroundQuantifier(benchmark::State& state) {
 }
 BENCHMARK(BM_GroundQuantifier)->Arg(2)->Arg(3)->Arg(4);
 
-// Runs once per backend so the CI artifact carries a dfs/cdcl/portfolio row each; the
-// workflow gates on the portfolio row staying within 10% of the best single backend.
-void BM_SolveUniqueFieldQuery(benchmark::State& state, smt::BackendKind kind) {
+// A small ground query: a unique-field axiom refuted by two distinct members.
+void BM_SolveUniqueFieldQuery(benchmark::State& state) {
   for (auto _ : state) {
     TermFactory f;
     Sort rs = smt::RefSort(0);
@@ -82,8 +81,7 @@ void BM_SolveUniqueFieldQuery(benchmark::State& state, smt::BackendKind kind) {
     Term wf = f.Forall(v, f.Eq(f.Proj(f.Select(data, v), 0), v));
     Term x = f.Const("x", rs);
     Term y = f.Const("y", rs);
-    std::unique_ptr<smt::SolverBackend> backend =
-        smt::MakeBackend(kind, smt::SolverOptions{});
+    std::unique_ptr<smt::SolverBackend> backend = smt::MakeBackend(smt::SolverOptions{});
     backend->AssertAll(
         {wf, f.Member(x, ids), f.Member(y, ids),
          f.Eq(f.Proj(f.Select(data, x), 1), f.Proj(f.Select(data, y), 1)),
@@ -92,9 +90,7 @@ void BM_SolveUniqueFieldQuery(benchmark::State& state, smt::BackendKind kind) {
     benchmark::DoNotOptimize(r);
   }
 }
-BENCHMARK_CAPTURE(BM_SolveUniqueFieldQuery, dfs, smt::BackendKind::kDfs);
-BENCHMARK_CAPTURE(BM_SolveUniqueFieldQuery, cdcl, smt::BackendKind::kCdcl);
-BENCHMARK_CAPTURE(BM_SolveUniqueFieldQuery, portfolio, smt::BackendKind::kPortfolio);
+BENCHMARK(BM_SolveUniqueFieldQuery);
 
 // One full commutativity + semantic check on a real pair (the verifier's unit of work).
 void BM_FullPairCheck(benchmark::State& state) {
@@ -115,13 +111,12 @@ BENCHMARK(BM_FullPairCheck);
 // timer measures solver work, not footprint set intersection. Scope 3 rather than the
 // default 2: the optimizations exist for the queries where search dominates, and at
 // scope 2 the fixed encode/ground floor hides most of the win. CI gates the geomean
-// off/on ratio across backends (see the pair-query speedup gate in ci.yml).
-void BM_PairQuery(benchmark::State& state, smt::BackendKind kind, bool optimized) {
+// off/on ratio (see the pair-query speedup gate in ci.yml).
+void BM_PairQuery(benchmark::State& state, bool optimized) {
   static app::App a = apps::MakeSmallBankApp();
   static analyzer::AnalysisResult res = analyzer::AnalyzeApp(a);
   static std::vector<soir::CodePath> eff = res.EffectfulPaths();
   verifier::CheckerOptions opt;
-  opt.solver.backend = kind;
   opt.solver.scope = smt::Scope(3);
   opt.solver.symmetry = optimized ? smt::Toggle::kOn : smt::Toggle::kOff;
   opt.solver.incremental = optimized ? smt::Toggle::kOn : smt::Toggle::kOff;
@@ -136,12 +131,8 @@ void BM_PairQuery(benchmark::State& state, smt::BackendKind kind, bool optimized
     benchmark::DoNotOptimize(session.NotInvalidateQP());
   }
 }
-BENCHMARK_CAPTURE(BM_PairQuery, dfs_off, smt::BackendKind::kDfs, false);
-BENCHMARK_CAPTURE(BM_PairQuery, dfs_on, smt::BackendKind::kDfs, true);
-BENCHMARK_CAPTURE(BM_PairQuery, cdcl_off, smt::BackendKind::kCdcl, false);
-BENCHMARK_CAPTURE(BM_PairQuery, cdcl_on, smt::BackendKind::kCdcl, true);
-BENCHMARK_CAPTURE(BM_PairQuery, portfolio_off, smt::BackendKind::kPortfolio, false);
-BENCHMARK_CAPTURE(BM_PairQuery, portfolio_on, smt::BackendKind::kPortfolio, true);
+BENCHMARK_CAPTURE(BM_PairQuery, dfs_off, false);
+BENCHMARK_CAPTURE(BM_PairQuery, dfs_on, true);
 
 void BM_AnalyzeSmallBank(benchmark::State& state) {
   app::App a = apps::MakeSmallBankApp();
@@ -151,12 +142,11 @@ void BM_AnalyzeSmallBank(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyzeSmallBank);
 
-// Deterministic verdict fingerprint of one app under one backend/toggle setting:
+// Deterministic verdict fingerprint of one app under one toggle setting:
 // FNV-1a over the "p|q|com|sem" verdict lines of a full deterministic-budget verify.
 // The optimizations must never change a verdict, so the fingerprint is the artifact
 // CI diffs against the committed baseline to prove restriction-set identity.
-uint64_t VerdictFingerprint(const apps::AppEntry& entry, smt::BackendKind kind,
-                            bool optimized) {
+uint64_t VerdictFingerprint(const apps::AppEntry& entry, bool optimized) {
   app::App a = entry.make();
   PipelineOptions analysis_only;
   analysis_only.verify = false;
@@ -164,7 +154,6 @@ uint64_t VerdictFingerprint(const apps::AppEntry& entry, smt::BackendKind kind,
 
   PipelineOptions options;
   options.parallel.threads = 2;
-  options.checker.solver.backend = kind;
   options.checker.solver.budget.deterministic = true;
   options.checker.solver.symmetry = optimized ? smt::Toggle::kOn : smt::Toggle::kOff;
   options.checker.solver.incremental = optimized ? smt::Toggle::kOn : smt::Toggle::kOff;
@@ -178,9 +167,9 @@ uint64_t VerdictFingerprint(const apps::AppEntry& entry, smt::BackendKind kind,
   return soir::Fnv1a64(lines);
 }
 
-// Stamps per-app, per-backend verdict fingerprints into the benchmark context, after
-// CHECK-ing that the optimized and unoptimized runs produce identical verdicts. Gated
-// behind NOCTUA_BENCH_FINGERPRINTS=1 because it runs 18 full verifies (~half a minute);
+// Stamps per-app verdict fingerprints into the benchmark context, after CHECK-ing that
+// the optimized and unoptimized runs produce identical verdicts. Gated behind
+// NOCTUA_BENCH_FINGERPRINTS=1 because it runs 6 full verifies;
 // plain timing runs skip it. Only the fast apps are fingerprinted — the slow trio
 // (Zhihu, OwnPhotos, PostGraduation) is covered by the tier-1 identity tests instead.
 void AddVerdictFingerprints() {
@@ -188,15 +177,10 @@ void AddVerdictFingerprints() {
     if (entry.name != "Todo" && entry.name != "SmallBank" && entry.name != "Courseware") {
       continue;
     }
-    for (smt::BackendKind kind :
-         {smt::BackendKind::kDfs, smt::BackendKind::kCdcl, smt::BackendKind::kPortfolio}) {
-      uint64_t off = VerdictFingerprint(entry, kind, /*optimized=*/false);
-      uint64_t on = VerdictFingerprint(entry, kind, /*optimized=*/true);
-      NOCTUA_CHECK_MSG(off == on, "optimizations changed a restriction set");
-      benchmark::AddCustomContext(
-          "fingerprint_" + entry.name + "_" + smt::BackendKindName(kind),
-          soir::DigestHex(on));
-    }
+    uint64_t off = VerdictFingerprint(entry, /*optimized=*/false);
+    uint64_t on = VerdictFingerprint(entry, /*optimized=*/true);
+    NOCTUA_CHECK_MSG(off == on, "optimizations changed a restriction set");
+    benchmark::AddCustomContext("fingerprint_" + entry.name + "_dfs", soir::DigestHex(on));
   }
 }
 

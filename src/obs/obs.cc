@@ -14,6 +14,11 @@
 
 namespace noctua::obs {
 
+uint64_t NearestRank(double q, uint64_t n) {
+  uint64_t rank = static_cast<uint64_t>(std::ceil(q * static_cast<double>(n)));
+  return std::clamp<uint64_t>(rank, 1, n);
+}
+
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -152,12 +157,7 @@ HistSummary SummarizeCounts(const uint64_t counts[kHistBuckets], uint64_t count,
   if (count == 0) {
     return out;
   }
-  // Nearest rank, ceil(q * n) clamped to [1, n]: the same rank bench::ComputePercentiles
-  // and the ledger use, so a p99 over five samples is their max.
-  auto rank_of = [&](double q) -> uint64_t {
-    uint64_t rank = static_cast<uint64_t>(std::ceil(q * static_cast<double>(count)));
-    return std::clamp<uint64_t>(rank, 1, count);
-  };
+  auto rank_of = [&](double q) { return NearestRank(q, count); };
   if (count <= reservoir.size()) {
     std::sort(reservoir.begin(), reservoir.begin() + static_cast<ptrdiff_t>(count));
     auto exact = [&](double q) { return reservoir[rank_of(q) - 1]; };
@@ -243,26 +243,10 @@ const char* CounterName(Counter c) {
       return "smt.ground_expansions";
     case Counter::kSimplifyHits:
       return "smt.simplify_hits";
-    case Counter::kCdclConflicts:
-      return "smt.cdcl_conflicts";
-    case Counter::kCdclLearnedClauses:
-      return "smt.cdcl_learned_clauses";
     case Counter::kSolverIncrementalReuse:
       return "solver.incremental_reuse_hits";
     case Counter::kSolverSymmetryPruned:
       return "solver.symmetry_pruned_nodes";
-    case Counter::kCdclRestarts:
-      return "cdcl.restarts";
-    case Counter::kCdclClausesForgotten:
-      return "cdcl.clauses_forgotten";
-    case Counter::kPortfolioRaces:
-      return "smt.portfolio_races";
-    case Counter::kPortfolioWinsDfs:
-      return "smt.portfolio_wins_dfs";
-    case Counter::kPortfolioWinsCdcl:
-      return "smt.portfolio_wins_cdcl";
-    case Counter::kPortfolioUndecided:
-      return "smt.portfolio_undecided";
     case Counter::kEndpointsAnalyzed:
       return "analyzer.endpoints_analyzed";
     case Counter::kEndpointsMemoized:

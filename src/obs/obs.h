@@ -83,16 +83,8 @@ enum class Counter : uint8_t {
   kSolverAssignments,
   kGroundExpansions,
   kSimplifyHits,
-  kCdclConflicts,
-  kCdclLearnedClauses,
   kSolverIncrementalReuse,
   kSolverSymmetryPruned,
-  kCdclRestarts,
-  kCdclClausesForgotten,
-  kPortfolioRaces,
-  kPortfolioWinsDfs,
-  kPortfolioWinsCdcl,
-  kPortfolioUndecided,
   // Analyzer / incremental engine.
   kEndpointsAnalyzed,
   kEndpointsMemoized,
@@ -170,6 +162,11 @@ uint64_t HistBucketLowerBound(size_t b);
 // inside the bucket containing the rank (clamped to [min, max]) instead of reporting
 // the bucket lower bound — a p99 can no longer jump 2x just by crossing a bucket edge.
 inline constexpr size_t kHistReservoir = 256;
+
+// The nearest-rank rule every percentile in the repository uses: the 1-based rank
+// ceil(q * n), clamped to [1, n], of the smallest sample with at least a q share of the
+// n samples at or below it. A p99 over five samples is their max. n must be positive.
+uint64_t NearestRank(double q, uint64_t n);
 
 // Summary of one histogram after a run. Percentiles are exact while count <=
 // kHistReservoir and intra-bucket interpolations afterwards (see above).

@@ -12,7 +12,6 @@ EngineConfig EngineConfig::FromEnv() {
   env::Snapshot snap = env::CaptureSnapshot();
   EngineConfig config;
   config.threads = snap.threads;
-  smt::ParseBackendKind(snap.solver, &config.solver);
   config.symmetry = snap.symmetry;
   config.incremental = snap.incremental;
   // Verbatim, unprobed: Run/Verify never touch the artifact root, and the throwaway
@@ -37,9 +36,6 @@ Engine::~Engine() = default;
 PipelineOptions Engine::ResolveOptions(const PipelineOptions& options) const {
   PipelineOptions o = options;
   smt::SolverOptions& solver = o.checker.solver;
-  if (solver.backend == smt::BackendKind::kAuto) {
-    solver.backend = config_.solver;
-  }
   if (solver.symmetry == smt::Toggle::kAuto) {
     solver.symmetry = config_.symmetry ? smt::Toggle::kOn : smt::Toggle::kOff;
   }

@@ -6,7 +6,7 @@
 // Lifecycle contract:
 //
 //   - EngineConfig is resolved ONCE, at construction (EngineConfig::FromEnv reads
-//     NOCTUA_THREADS / NOCTUA_SOLVER / NOCTUA_SYMMETRY / NOCTUA_INCREMENTAL /
+//     NOCTUA_THREADS / NOCTUA_SYMMETRY / NOCTUA_INCREMENTAL /
 //     NOCTUA_ARTIFACT_DIR / NOCTUA_VERDICT_CACHE). A running engine never consults the
 //     environment again, so a daemon's behavior cannot drift when its environment does.
 //   - Run/Verify/RunIncremental are safe to call from many threads: the verify stage is
@@ -44,7 +44,7 @@ struct EngineConfig {
   // Worker-pool width including the calling thread; 0 = ThreadPool::DefaultThreads()
   // (NOCTUA_THREADS if set, else the hardware concurrency, clamped to env::kMaxThreads).
   int threads = 0;
-  // The decision procedure kAuto resolves to for every query this engine runs.
+  // The decision procedure every query of this engine runs on; dfs is the only one.
   smt::BackendKind solver = smt::BackendKind::kDfs;
   // What solver-option Toggle::kAuto resolves to.
   bool symmetry = true;

@@ -1,7 +1,5 @@
 #include "src/smt/backend.h"
 
-#include "src/smt/cdcl.h"
-#include "src/smt/portfolio.h"
 #include "src/support/check.h"
 #include "src/support/env.h"
 
@@ -9,42 +7,10 @@ namespace noctua::smt {
 
 const char* BackendKindName(BackendKind k) {
   switch (k) {
-    case BackendKind::kAuto:
-      return "auto";
     case BackendKind::kDfs:
       return "dfs";
-    case BackendKind::kCdcl:
-      return "cdcl";
-    case BackendKind::kPortfolio:
-      return "portfolio";
   }
   return "?";
-}
-
-bool ParseBackendKind(const std::string& name, BackendKind* out) {
-  if (name == "dfs") {
-    *out = BackendKind::kDfs;
-  } else if (name == "cdcl") {
-    *out = BackendKind::kCdcl;
-  } else if (name == "portfolio") {
-    *out = BackendKind::kPortfolio;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-BackendKind BackendKindFromEnv() {
-  // Strict-parse discipline lives in env::EnumOr: unset means dfs, a typo is rejected
-  // with a one-shot warning rather than silently absorbed into the default.
-  std::string name = env::EnumOr("NOCTUA_SOLVER", {"dfs", "cdcl", "portfolio"}, "dfs");
-  BackendKind k = BackendKind::kDfs;
-  ParseBackendKind(name, &k);
-  return k;
-}
-
-BackendKind ResolveBackendKind(BackendKind k) {
-  return k == BackendKind::kAuto ? BackendKindFromEnv() : k;
 }
 
 bool ParseToggle(const std::string& value, Toggle* out) {
@@ -77,23 +43,6 @@ void SolverCounterSink::AddShared(const SolverStats& stats) {
   if (stats.symmetry_pruned > 0) {
     symmetry_pruned_.fetch_add(stats.symmetry_pruned, std::memory_order_relaxed);
   }
-  if (stats.restarts > 0) {
-    cdcl_restarts_.fetch_add(stats.restarts, std::memory_order_relaxed);
-  }
-  if (stats.clauses_forgotten > 0) {
-    cdcl_forgotten_.fetch_add(stats.clauses_forgotten, std::memory_order_relaxed);
-  }
-}
-
-void SolverCounterSink::AddRace(int winner) {
-  races_.fetch_add(1, std::memory_order_relaxed);
-  if (winner == 0) {
-    wins_dfs_.fetch_add(1, std::memory_order_relaxed);
-  } else if (winner == 1) {
-    wins_cdcl_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    undecided_.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 namespace {
@@ -122,26 +71,8 @@ ScopedSolverCounterSink::ScopedSolverCounterSink(SolverCounterSink* sink) : prev
 
 ScopedSolverCounterSink::~ScopedSolverCounterSink() { tls_sink = prev_; }
 
-SolverSharedCounts GetSolverSharedCounts() { return ProcessSolverCounters().Shared(); }
-
-PortfolioCounts GetPortfolioCounts() { return ProcessSolverCounters().Portfolio(); }
-
 void AccumulateSolverSharedCounts(const SolverStats& stats) {
-  SolverCounterSink* sink = CurrentSolverCounterSink();
-  sink->AddShared(stats);
-  // Process totals always accumulate, so lifetime counters (bench preambles) keep their
-  // historical meaning even when a scoped engine sink is installed.
-  if (sink != &ProcessSolverCounters()) {
-    ProcessSolverCounters().AddShared(stats);
-  }
-}
-
-void AccumulatePortfolioRace(int winner) {
-  SolverCounterSink* sink = CurrentSolverCounterSink();
-  sink->AddRace(winner);
-  if (sink != &ProcessSolverCounters()) {
-    ProcessSolverCounters().AddRace(winner);
-  }
+  CurrentSolverCounterSink()->AddShared(stats);
 }
 
 namespace {
@@ -152,13 +83,9 @@ class DfsBackend : public SolverBackend {
   explicit DfsBackend(const SolverOptions& options) : solver_(options) {}
 
   const char* name() const override { return "dfs"; }
-  BackendCaps caps() const override {
-    return BackendCaps{/*deterministic_budget=*/true, /*produces_model=*/true,
-                       /*cancellable=*/true, /*incremental=*/true};
-  }
+  BackendCaps caps() const override { return BackendCaps{/*incremental=*/true}; }
   const SmtModel& model() const override { return solver_.model(); }
   const SolverStats& stats() const override { return solver_.stats(); }
-  void set_cancel(const std::atomic<bool>* cancel) override { solver_.set_cancel(cancel); }
 
  protected:
   SolveResult DoCheck(TermFactory& factory, const std::vector<Term>& assertions) override {
@@ -173,22 +100,8 @@ class DfsBackend : public SolverBackend {
 
 }  // namespace
 
-std::unique_ptr<SolverBackend> MakeBackend(BackendKind kind, const SolverOptions& options) {
-  switch (ResolveBackendKind(kind)) {
-    case BackendKind::kDfs:
-      return std::make_unique<DfsBackend>(options);
-    case BackendKind::kCdcl:
-      return std::make_unique<CdclBackend>(options);
-    case BackendKind::kPortfolio:
-      return std::make_unique<PortfolioBackend>(options);
-    case BackendKind::kAuto:
-      break;  // ResolveBackendKind never returns kAuto
-  }
-  NOCTUA_UNREACHABLE("unresolved backend kind");
-}
-
 std::unique_ptr<SolverBackend> MakeBackend(const SolverOptions& options) {
-  return MakeBackend(options.backend, options);
+  return std::make_unique<DfsBackend>(options);
 }
 
 }  // namespace noctua::smt

@@ -113,32 +113,6 @@ std::vector<Term> ValueDomains::LiteralsFor(TermFactory& f, const Scope& scope,
   return out;
 }
 
-std::vector<Value> ValueDomains::ValuesFor(const Scope& scope, const Sort& sort) const {
-  std::vector<Value> out;
-  if (sort->is_bool()) {
-    out = {Value::Bool(false), Value::Bool(true)};
-  } else if (sort->is_int()) {
-    out.reserve(int_domain_.size());
-    for (int64_t v : int_domain_) {
-      out.push_back(Value::Int(v));
-    }
-  } else if (sort->is_string()) {
-    out.reserve(string_domain_.size());
-    for (const std::string& s : string_domain_) {
-      out.push_back(Value::Str(s));
-    }
-  } else if (sort->is_ref()) {
-    int n = scope.RefSize(sort->model_id());
-    out.reserve(n);
-    for (int i = 0; i < n; ++i) {
-      out.push_back(Value::Ref(i));
-    }
-  } else {
-    NOCTUA_UNREACHABLE("atom of composite sort");
-  }
-  return out;
-}
-
 void SymmetryBreaker::Analyze(const std::vector<Term>& raw,
                               const std::vector<Term>& grounded, const Scope& scope) {
   groups_.clear();
@@ -342,9 +316,7 @@ SolveResult Solver::CheckSat(TermFactory& f, const std::vector<Term>& raw_assert
 
   bool timed_out = false;
   while (!stack.empty()) {
-    if ((++stats_.nodes_visited & 0x3f) == 0 &&
-        (deadline.Expired() ||
-         (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)))) {
+    if ((++stats_.nodes_visited & 0x3f) == 0 && deadline.Expired()) {
       timed_out = true;
       break;
     }

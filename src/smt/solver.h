@@ -35,13 +35,11 @@
 // re-substitution; only the work per node shrinks.
 //
 // kSat means a counterexample was found (the check FAILS); kUnsat means the property holds
-// within the scope; kUnknown means the budget was exhausted (or a portfolio race cancelled
-// the search), which the verifier treats conservatively (restrict the pair), mirroring the
-// paper's 2s timeout.
+// within the scope; kUnknown means the budget was exhausted, which the verifier treats
+// conservatively (restrict the pair), mirroring the paper's 2s timeout.
 #ifndef SRC_SMT_SOLVER_H_
 #define SRC_SMT_SOLVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -72,29 +70,19 @@ struct SmtModel {
 };
 
 struct SolverStats {
-  // Search nodes: DFS assignments, or CDCL decisions + propagations. The unit Budget's
-  // max_nodes is charged against.
+  // Search nodes: DFS assignments. The unit Budget's max_nodes is charged against.
   uint64_t nodes_visited = 0;
   uint64_t evaluations = 0;
   double seconds = 0;
   size_t num_atoms = 0;
   // Binder expansions performed while grounding this query's assertions.
   uint64_t binders_expanded = 0;
-  // CDCL-only: conflicts analyzed and clauses learned (0 for the model finder).
-  uint64_t conflicts = 0;
-  uint64_t learned_clauses = 0;
   // Root assertions whose grounding this Check served from the backend's persistent
   // ground cache instead of re-expanding (incremental solving, see IncrementalGrounder).
   uint64_t incremental_reuse_hits = 0;
   // Work removed by lex-leader symmetry reduction: candidate values dropped from DFS
-  // frames, or CDCL literals pinned/excluded by the precedence clauses.
+  // frames.
   uint64_t symmetry_pruned = 0;
-  // CDCL-only: Luby restarts performed and learned clauses dropped by DB reduction.
-  uint64_t restarts = 0;
-  uint64_t clauses_forgotten = 0;
-  // Portfolio-only: which sub-backend produced the verdict (0 = dfs, 1 = cdcl,
-  // -1 = not a portfolio run or no decisive winner).
-  int portfolio_winner = -1;
 };
 
 struct SolverOptions {
@@ -102,9 +90,6 @@ struct SolverOptions {
   Budget budget;
   int max_int_domain = 8;
   int max_string_domain = 6;
-  // Which decision procedure answers checks. kAuto defers to NOCTUA_SOLVER (see
-  // budget.h); construction goes through smt::MakeBackend — the one factory.
-  BackendKind backend = BackendKind::kAuto;
   // Lex-leader symmetry reduction over the k interchangeable instances of each model
   // sort, and reuse of grounding work across Checks on one backend instance. Both are
   // verdict-preserving; kAuto defers to NOCTUA_SYMMETRY / NOCTUA_INCREMENTAL (default
@@ -114,9 +99,9 @@ struct SolverOptions {
 };
 
 // The finite value space one query's search ranges over, harvested from the query's own
-// literals. Every backend MUST build its candidate values through this class: verdict
-// agreement across backends (the cross-backend soundness oracle) relies on all of them
-// deciding satisfiability over identical domains.
+// literals. The model finder draws its candidate values from here, and the Z3 oracle
+// under tests/ restricts its atoms to the same domains: verdict agreement between the
+// two relies on both deciding satisfiability over identical domains.
 class ValueDomains {
  public:
   // Harvests int/string literals from the grounded assertions and assembles the bounded
@@ -128,10 +113,6 @@ class ValueDomains {
 
   // Candidate value literals for one ground atom term (the DFS substitution search).
   std::vector<Term> LiteralsFor(TermFactory& f, const Scope& scope, Term atom) const;
-
-  // Candidate Values for one decomposed scalar atom of `sort` (the CDCL direct
-  // encoding). Same values, same order, as LiteralsFor.
-  std::vector<Value> ValuesFor(const Scope& scope, const Sort& sort) const;
 
  private:
   std::vector<int64_t> int_domain_;
@@ -195,11 +176,6 @@ class Solver {
   const SolverStats& stats() const { return stats_; }
   const SolverOptions& options() const { return options_; }
 
-  // Installs a cooperative cancellation flag (nullptr to clear): the search polls it at
-  // its budget checkpoints and abandons with kUnknown when set. This is how a portfolio
-  // race stops the losing backend mid-search.
-  void set_cancel(const std::atomic<bool>* cancel) { cancel_ = cancel; }
-
  private:
   SolverOptions options_;
   SmtModel model_;
@@ -209,7 +185,6 @@ class Solver {
   // pair sessions) re-ground only their fresh roots. Only used when incremental solving
   // is enabled; the legacy path builds a throwaway Grounder per call.
   IncrementalGrounder inc_ground_;
-  const std::atomic<bool>* cancel_ = nullptr;
 };
 
 }  // namespace noctua::smt

@@ -125,31 +125,6 @@ bool OnOffOr(const char* var, bool fallback) {
   return fallback;
 }
 
-std::string EnumOr(const char* var, std::initializer_list<const char*> allowed,
-                   const char* fallback) {
-  const char* raw = Raw(var);
-  if (raw == nullptr || *raw == '\0') {
-    return fallback;
-  }
-  for (const char* a : allowed) {
-    if (std::string(raw) == a) {
-      return a;
-    }
-  }
-  std::string expected;
-  size_t i = 0;
-  for (const char* a : allowed) {
-    if (i > 0) {
-      expected += (i + 1 == allowed.size()) ? ", or " : ", ";
-    }
-    expected += a;
-    ++i;
-  }
-  WarnOnce(var, std::string("ignoring ") + var + "=\"" + raw + "\" (expected " + expected +
-                    "); using " + fallback);
-  return fallback;
-}
-
 long RequireLongInRange(const char* var, long lo, long hi, long fallback) {
   const char* raw = Raw(var);
   if (raw == nullptr) {
@@ -189,7 +164,6 @@ Snapshot CaptureSnapshot() {
   unsigned hw = std::thread::hardware_concurrency();
   s.threads = static_cast<int>(
       PositiveIntOr("NOCTUA_THREADS", hw == 0 ? 1 : static_cast<long>(hw), kMaxThreads));
-  s.solver = EnumOr("NOCTUA_SOLVER", {"dfs", "cdcl", "portfolio"}, "dfs");
   s.symmetry = OnOffOr("NOCTUA_SYMMETRY", true);
   s.incremental = OnOffOr("NOCTUA_INCREMENTAL", true);
   if (const char* dir = Raw("NOCTUA_ARTIFACT_DIR")) {

@@ -6,7 +6,7 @@
 //   * Lenient knobs (tuning, safe to ignore): unset means the built-in default; a valid
 //     value is honored; anything else is rejected with a one-shot stderr warning and the
 //     default is used. A typo is noticed, never silently absorbed. NOCTUA_THREADS,
-//     NOCTUA_SOLVER, NOCTUA_SYMMETRY, NOCTUA_INCREMENTAL, NOCTUA_VERDICT_CACHE.
+//     NOCTUA_SYMMETRY, NOCTUA_INCREMENTAL, NOCTUA_VERDICT_CACHE.
 //
 //   * Fail-fast knobs (semantics, wrong to ignore): unset means the built-in default,
 //     but a set-and-malformed value is a *fatal error*. Used where running with a
@@ -22,7 +22,6 @@
 #ifndef SRC_SUPPORT_ENV_H_
 #define SRC_SUPPORT_ENV_H_
 
-#include <initializer_list>
 #include <string>
 
 namespace noctua::env {
@@ -64,11 +63,6 @@ long NonNegativeIntOr(const char* var, long fallback, long cap);
 // (NOCTUA_SYMMETRY, NOCTUA_INCREMENTAL)
 bool OnOffOr(const char* var, bool fallback);
 
-// Enumerated knob: unset/empty returns `fallback`; a member of `allowed` is returned
-// verbatim; anything else warns and returns `fallback`. (NOCTUA_SOLVER)
-std::string EnumOr(const char* var, std::initializer_list<const char*> allowed,
-                   const char* fallback);
-
 // ---------------------------------------------------------------------------------------
 // Fail-fast knobs (fatal on a set-and-malformed value)
 
@@ -87,15 +81,10 @@ bool RequireBool01(const char* var, bool fallback);
 // Snapshot
 
 // One-shot capture of every analysis-affecting knob, taken at engine construction and
-// never re-read. Fields hold *resolved* values (parse policy already applied), typed as
-// far as this layer can without depending on smt — the engine layer lifts `solver` into
-// a BackendKind.
+// never re-read. Fields hold *resolved* values (parse policy already applied).
 struct Snapshot {
   // Resolved degree of parallelism: NOCTUA_THREADS if valid, else hardware concurrency.
   int threads = 1;
-  // Validated backend name ("dfs", "cdcl", "portfolio"); unset resolves to the built-in
-  // default, "dfs".
-  std::string solver = "dfs";
   // Resolved optimization toggles (default on).
   bool symmetry = true;
   bool incremental = true;

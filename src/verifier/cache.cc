@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/smt/backend.h"
 #include "src/soir/serialize.h"
 
 namespace noctua::verifier {
@@ -190,14 +189,8 @@ std::string PairKeyText::Text(std::string_view rule, const std::set<int>& order_
 }
 
 VerdictKeyer::VerdictKeyer(const CheckerOptions& options) : scope_(options.solver.scope) {
-  // Verdicts are backend-independent (the cross-backend soundness contract); the tag
-  // keeps each backend's entries apart all the same, and the dfs default stays untagged.
-  const smt::BackendKind kind = smt::ResolveBackendKind(options.solver.backend);
-  if (kind != smt::BackendKind::kDfs) {
-    prefix_ = std::string(smt::BackendKindName(kind)) + "|";
-  }
   auto bit = [](bool b) { return b ? '1' : '0'; };
-  prefix_ += "opt:k" + std::to_string(scope_.default_size()) + ",i" +
+  prefix_ = "opt:k" + std::to_string(scope_.default_size()) + ",i" +
              std::to_string(options.solver.max_int_domain) + ",s" +
              std::to_string(options.solver.max_string_domain) + ",o" +
              bit(options.encoder.use_order) + ",u" +

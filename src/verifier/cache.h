@@ -1,7 +1,6 @@
 // Verdict cache for the verifier: maps the digest of a verification query's key text
 // (rule + the pair's canonically-renamed paths + order membership + the schema fragment
-// they touch, prefixed by the backend tag and the verdict-deciding checker options) to
-// the solver's outcome.
+// they touch, prefixed by the verdict-deciding checker options) to the solver's outcome.
 //
 // Two queries with equal key texts are isomorphic SMT problems — identical term DAGs up
 // to constant names, which the bounded model finder never interprets — checked under the
@@ -181,11 +180,11 @@ class PairKeyText {
 };
 
 // Turns key texts into cache keys under one run's checker options. The digested text is
-// the backend tag, then the verdict-deciding options, then the key text, then the scope
-// size of every model the pair mentions whose size differs from the default (by
-// canonical id). Options that only change speed — symmetry reduction, incremental
-// solving, the prefilter — and the budget (timeouts are never cached) stay out, so runs
-// that differ only in those share verdicts.
+// the verdict-deciding options, then the key text, then the scope size of every model
+// the pair mentions whose size differs from the default (by canonical id). Options that
+// only change speed — symmetry reduction, incremental solving, the prefilter — and the
+// budget (timeouts are never cached) stay out, so runs that differ only in those share
+// verdicts.
 class VerdictKeyer {
  public:
   explicit VerdictKeyer(const CheckerOptions& options);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <string_view>
 
 #include "src/obs/obs.h"
 #include "src/smt/backend.h"
@@ -170,33 +169,11 @@ CheckOutcome Checker::RunSolverOn(smt::SolverBackend& backend, smt::TermFactory&
     obs::Add(obs::Counter::kSolverAssignments, ss.evaluations);
     obs::Add(obs::Counter::kGroundExpansions, ss.binders_expanded);
     obs::Add(obs::Counter::kSimplifyHits, factory.intern_hits());
-    if (ss.conflicts > 0) {
-      obs::Add(obs::Counter::kCdclConflicts, ss.conflicts);
-    }
-    if (ss.learned_clauses > 0) {
-      obs::Add(obs::Counter::kCdclLearnedClauses, ss.learned_clauses);
-    }
     if (ss.incremental_reuse_hits > 0) {
       obs::Add(obs::Counter::kSolverIncrementalReuse, ss.incremental_reuse_hits);
     }
     if (ss.symmetry_pruned > 0) {
       obs::Add(obs::Counter::kSolverSymmetryPruned, ss.symmetry_pruned);
-    }
-    if (ss.restarts > 0) {
-      obs::Add(obs::Counter::kCdclRestarts, ss.restarts);
-    }
-    if (ss.clauses_forgotten > 0) {
-      obs::Add(obs::Counter::kCdclClausesForgotten, ss.clauses_forgotten);
-    }
-    if (std::string_view(backend.name()) == "portfolio") {
-      obs::Add(obs::Counter::kPortfolioRaces);
-      if (ss.portfolio_winner == 0) {
-        obs::Add(obs::Counter::kPortfolioWinsDfs);
-      } else if (ss.portfolio_winner == 1) {
-        obs::Add(obs::Counter::kPortfolioWinsCdcl);
-      } else {
-        obs::Add(obs::Counter::kPortfolioUndecided);
-      }
     }
     obs::Observe(obs::Hist::kSolveMicros, static_cast<uint64_t>(ss.seconds * 1e6));
     obs::Observe(obs::Hist::kSolverNodesPerQuery, ss.nodes_visited);
@@ -445,8 +422,10 @@ struct Checker::PairSession::Shared {
 };
 
 Checker::PairSession::PairSession(const Checker& checker, const PathFacts& p,
-                                  const PathFacts& q, const std::set<int>* order_models)
-    : checker_(checker), fp_(p), fq_(q), p_(*p.path), q_(*q.path) {
+                                  const PathFacts& q, const std::set<int>* order_models,
+                                  BackendMaker make_backend)
+    : checker_(checker), fp_(p), fq_(q), p_(*p.path), q_(*q.path),
+      make_backend_(make_backend) {
   ni_order_ = fp_.order_models;
   ni_order_.insert(fq_.order_models.begin(), fq_.order_models.end());
   com_order_ = order_models != nullptr ? *order_models : ni_order_;
@@ -460,7 +439,7 @@ void Checker::PairSession::EnsureShared() {
     return;
   }
   shared_ = std::make_unique<Shared>();
-  shared_->backend = smt::MakeBackend(checker_.options_.solver);
+  shared_->backend = make_backend_(checker_.options_.solver);
   shared_->incremental = smt::IncrementalEnabled(checker_.options_.solver) &&
                          shared_->backend->caps().incremental;
 }

@@ -128,10 +128,17 @@ class Checker {
   //
   // A session is single-threaded and must not outlive its Checker, nor the PathFacts
   // it was given.
+  //
+  // `make_backend` builds the session's backend from the checker's solver options. It
+  // is a seam for tests, which substitute an independent oracle for the model finder;
+  // production always takes the default. The legacy fallback (incremental solving off,
+  // or a backend without caps().incremental) solves through MakeBackend instead.
+  using BackendMaker = std::unique_ptr<smt::SolverBackend> (*)(const smt::SolverOptions&);
   class PairSession {
    public:
     PairSession(const Checker& checker, const PathFacts& p, const PathFacts& q,
-                const std::set<int>* order_models = nullptr);
+                const std::set<int>* order_models = nullptr,
+                BackendMaker make_backend = smt::MakeBackend);
     ~PairSession();
     PairSession(const PairSession&) = delete;
     PairSession& operator=(const PairSession&) = delete;
@@ -155,6 +162,7 @@ class Checker {
     const soir::CodePath& q_;
     std::set<int> com_order_;  // StateEq order set for the commutativity query
     std::set<int> ni_order_;   // pair-derived order union for NotInvalidate
+    BackendMaker make_backend_;
     bool prefiltered_ = false;
     std::unique_ptr<Shared> shared_;
   };

@@ -1,15 +1,19 @@
-// Tests for the pluggable solver backends (src/smt/backend.h):
-//   * the CdclSearch propositional core, driven piecewise — unit propagation chains,
-//     first-UIP conflict analysis, learned-clause implication, pigeonhole pure SAT;
-//   * backend selection — strict NOCTUA_SOLVER parsing and the MakeBackend factory;
-//   * the portfolio race — cancellation, win accounting, verdict agreement;
-//   * the headline soundness claim: every evaluated app's restriction set is
-//     byte-identical across dfs, cdcl, and portfolio;
+// Tests for the solver backend boundary (src/smt/backend.h):
+//   * the propositional core of the CDCL reference procedure (tests/cdcl_oracle.h),
+//     driven piecewise — unit propagation chains, first-UIP conflict analysis,
+//     learned-clause implication, pigeonhole pure SAT, Luby restarts;
+//   * the factory and the model finder's capabilities;
+//   * the optimization toggles' strict env parsing;
+//   * the headline soundness claim: on every evaluated app, every query the verifier
+//     sends to the model finder gets the same verdict from the Z3 oracle
+//     (tests/z3_oracle.h), substituted through Checker::PairSession's backend seam;
+//   * optimization identity: the toggles never move a restriction set;
 //   * search identity: the exact width-1 dfs tallies of the four cheap apps.
 #include <algorithm>
-#include <atomic>
+#include <array>
 #include <cstdlib>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -19,19 +23,21 @@
 #include "src/pipeline/engine.h"
 #include "src/pipeline/pipeline.h"
 #include "src/smt/backend.h"
-#include "src/smt/cdcl.h"
-#include "src/smt/portfolio.h"
 #include "src/smt/solver.h"
-#include "src/smt/term.h"
+#include "src/support/thread_pool.h"
+#include "src/verifier/checker.h"
+#include "tests/cdcl_oracle.h"
+#include "tests/z3_oracle.h"
 
 namespace noctua {
 namespace {
 
+using oracle::CdclSearch;
 using smt::BackendKind;
-using smt::CdclSearch;
 using smt::SolveResult;
-using smt::Term;
-using smt::TermFactory;
+using verifier::CheckOutcome;
+using verifier::Checker;
+using verifier::PathFacts;
 
 // ------------------------------------------------------------------- CdclSearch core
 
@@ -232,65 +238,15 @@ TEST(CdclSearchTest, LubyRestartsPreserveUnsatAndFireTheHook) {
   EXPECT_EQ(hook_calls, s.restarts());
 }
 
-// ------------------------------------------------------------------ backend selection
-
-TEST(BackendKindTest, ParseAcceptsExactlyTheThreeKnobValues) {
-  BackendKind k = BackendKind::kAuto;
-  EXPECT_TRUE(smt::ParseBackendKind("dfs", &k));
-  EXPECT_EQ(k, BackendKind::kDfs);
-  EXPECT_TRUE(smt::ParseBackendKind("cdcl", &k));
-  EXPECT_EQ(k, BackendKind::kCdcl);
-  EXPECT_TRUE(smt::ParseBackendKind("portfolio", &k));
-  EXPECT_EQ(k, BackendKind::kPortfolio);
-
-  for (const char* bad : {"auto", "DFS", "Cdcl", "", "z3", "dfs ", " dfs", "portfolio2"}) {
-    BackendKind untouched = BackendKind::kPortfolio;
-    EXPECT_FALSE(smt::ParseBackendKind(bad, &untouched)) << '"' << bad << '"';
-    EXPECT_EQ(untouched, BackendKind::kPortfolio) << '"' << bad << '"';
-  }
-}
-
-TEST(BackendKindTest, EnvSelectionIsStrict) {
-  ASSERT_EQ(unsetenv("NOCTUA_SOLVER"), 0);
-  EXPECT_EQ(smt::BackendKindFromEnv(), BackendKind::kDfs);
-  ASSERT_EQ(setenv("NOCTUA_SOLVER", "cdcl", 1), 0);
-  EXPECT_EQ(smt::BackendKindFromEnv(), BackendKind::kCdcl);
-  ASSERT_EQ(setenv("NOCTUA_SOLVER", "portfolio", 1), 0);
-  EXPECT_EQ(smt::BackendKindFromEnv(), BackendKind::kPortfolio);
-  // Typos fall back to dfs (with a one-shot stderr warning) instead of being absorbed.
-  for (const char* bad : {"Portfolio", "z3", "dfs,cdcl", "auto"}) {
-    ASSERT_EQ(setenv("NOCTUA_SOLVER", bad, 1), 0);
-    EXPECT_EQ(smt::BackendKindFromEnv(), BackendKind::kDfs) << '"' << bad << '"';
-  }
-  ASSERT_EQ(unsetenv("NOCTUA_SOLVER"), 0);
-}
-
-TEST(BackendFactoryTest, PinnedKindOverridesOptionsAndEnv) {
-  smt::SolverOptions options;
-  options.backend = BackendKind::kCdcl;
-  EXPECT_STREQ(smt::MakeBackend(options)->name(), "cdcl");
-  EXPECT_STREQ(smt::MakeBackend(BackendKind::kPortfolio, options)->name(), "portfolio");
-
-  ASSERT_EQ(setenv("NOCTUA_SOLVER", "cdcl", 1), 0);
-  smt::SolverOptions from_env;  // backend = kAuto
-  EXPECT_STREQ(smt::MakeBackend(from_env)->name(), "cdcl");
-  ASSERT_EQ(unsetenv("NOCTUA_SOLVER"), 0);
-  EXPECT_STREQ(smt::MakeBackend(from_env)->name(), "dfs");
-}
+// --------------------------------------------------------------------- backend factory
 
 TEST(BackendFactoryTest, CapabilitiesMatchTheContract) {
-  smt::SolverOptions options;
-  EXPECT_TRUE(smt::MakeBackend(BackendKind::kDfs, options)->caps().cancellable);
-  EXPECT_TRUE(smt::MakeBackend(BackendKind::kCdcl, options)->caps().cancellable);
-  // The race is synchronous: external cancellation is honored only between races.
-  EXPECT_FALSE(smt::MakeBackend(BackendKind::kPortfolio, options)->caps().cancellable);
-  for (BackendKind k : {BackendKind::kDfs, BackendKind::kCdcl, BackendKind::kPortfolio}) {
-    EXPECT_TRUE(smt::MakeBackend(k, options)->caps().deterministic_budget);
-    EXPECT_TRUE(smt::MakeBackend(k, options)->caps().produces_model);
-    // All three retain grounding work across Checks (the portfolio through its
-    // persistent contestants), which is what the verifier's pair sessions key on.
-    EXPECT_TRUE(smt::MakeBackend(k, options)->caps().incremental);
-  }
+  std::unique_ptr<smt::SolverBackend> backend = smt::MakeBackend(smt::SolverOptions{});
+  EXPECT_STREQ(backend->name(), "dfs");
+  EXPECT_STREQ(smt::BackendKindName(BackendKind::kDfs), "dfs");
+  // The model finder retains grounding work across Checks, which is what the
+  // verifier's pair sessions key on.
+  EXPECT_TRUE(backend->caps().incremental);
 }
 
 // ------------------------------------------------------------- optimization toggles
@@ -340,85 +296,98 @@ TEST(ToggleTest, EnvKnobsAreStrictAndDefaultOn) {
   ASSERT_EQ(unsetenv("NOCTUA_INCREMENTAL"), 0);
 }
 
-// ------------------------------------------------------------------- portfolio race
+// ------------------------------------------------------ dfs against the Z3 oracle
 
-// Pin the threaded race on, even on single-core machines where the backend would
-// normally fall back to the sequential cascade — these tests are about the race.
-class PortfolioTest : public ::testing::Test {
- protected:
-  void SetUp() override { smt::PortfolioBackend::SetRaceModeForTesting(1); }
-  void TearDown() override { smt::PortfolioBackend::SetRaceModeForTesting(-1); }
-};
+// The acceptance bar for the model finder: on every evaluated app, every query of every
+// pair the prefilter does not retire (commutativity and both NotInvalidate directions,
+// all three even where the verifier would stop after the first failing direction) gets
+// the same verdict from dfs and from the Z3 oracle. Both decide the same bounded
+// question (tests/z3_oracle.h) at the deterministic budget, under which Z3 runs to a
+// verdict; the restriction sets built from the two runs are compared as well.
+class BackendIdentityTest : public ::testing::TestWithParam<apps::AppEntry> {};
 
-TEST_F(PortfolioTest, DecidesAndCountsWins) {
-  smt::PortfolioCounts before = smt::GetPortfolioCounts();
+TEST_P(BackendIdentityTest, RestrictionSetsAreByteIdenticalAcrossBackends) {
+  if (oracle::MakeZ3Oracle(smt::SolverOptions{}) == nullptr) {
+    GTEST_SKIP() << "built without Z3";
+  }
+  app::App a = GetParam().make();
+  PipelineOptions analysis_only;
+  analysis_only.verify = false;
+  const std::vector<soir::CodePath> paths =
+      Pipeline::Run(a, analysis_only).analysis.EffectfulPaths();
 
-  TermFactory f;
-  Term x = f.Const("x", smt::IntSort());
-  smt::SolverOptions options;
-  auto backend = smt::MakeBackend(BackendKind::kPortfolio, options);
-  backend->Assert(f.Eq(x, f.IntLit(1)));
-  backend->Assert(f.Eq(x, f.IntLit(2)));
-  EXPECT_EQ(backend->Check(f), SolveResult::kUnsat);
-  // A decisive race records exactly one winner.
-  int w = backend->stats().portfolio_winner;
-  EXPECT_TRUE(w == 0 || w == 1) << w;
+  verifier::CheckerOptions options;
+  options.solver.budget.deterministic = true;
+  // The sessions must take the incremental path: the legacy fallback would solve on
+  // dfs whatever backend the session was given.
+  options.solver.incremental = smt::Toggle::kOn;
+  const Checker checker(a.schema(), options);
+  std::vector<PathFacts> facts;
+  std::set<int> order_models;
+  for (const soir::CodePath& p : paths) {
+    facts.emplace_back(a.schema(), p);
+    order_models.insert(facts.back().order_models.begin(), facts.back().order_models.end());
+  }
+  std::vector<std::pair<size_t, size_t>> pairs;
+  for (size_t i = 0; i < facts.size(); ++i) {
+    for (size_t j = i; j < facts.size(); ++j) {
+      if (!checker.Prefilterable(facts[i], facts[j])) {
+        pairs.emplace_back(i, j);
+      }
+    }
+  }
+  ASSERT_FALSE(pairs.empty());
 
-  smt::PortfolioCounts after = smt::GetPortfolioCounts();
-  EXPECT_EQ(after.races, before.races + 1);
-  EXPECT_EQ(after.wins_dfs + after.wins_cdcl, before.wins_dfs + before.wins_cdcl + 1);
+  // Per pair: the com, ni(p,q) and ni(q,p) outcomes of each procedure.
+  using Outcomes = std::array<CheckOutcome, 3>;
+  auto decide = [&](const std::pair<size_t, size_t>& pair, Checker::BackendMaker make) {
+    Checker::PairSession session(checker, facts[pair.first], facts[pair.second],
+                                 &order_models, make);
+    return Outcomes{session.Commutativity(), session.NotInvalidatePQ(),
+                    session.NotInvalidateQP()};
+  };
+  std::vector<Outcomes> dfs(pairs.size());
+  std::vector<Outcomes> z3(pairs.size());
+  const uint64_t z3_checks_before = oracle::Z3OracleChecks();
+  ThreadPool pool(4);
+  pool.ParallelFor(pairs.size(), [&](size_t k) {
+    dfs[k] = decide(pairs[k], smt::MakeBackend);
+    z3[k] = decide(pairs[k], oracle::MakeZ3Oracle);
+  });
+
+  uint64_t solved = 0;
+  std::vector<std::string> dfs_restricted;
+  std::vector<std::string> z3_restricted;
+  static constexpr const char* kQuery[] = {"com", "ni(p,q)", "ni(q,p)"};
+  for (size_t k = 0; k < pairs.size(); ++k) {
+    const std::string name =
+        paths[pairs[k].first].op_name + "|" + paths[pairs[k].second].op_name;
+    for (size_t r = 0; r < 3; ++r) {
+      EXPECT_STREQ(verifier::CheckOutcomeName(dfs[k][r]), verifier::CheckOutcomeName(z3[k][r]))
+          << name << " " << kQuery[r];
+      EXPECT_NE(dfs[k][r], CheckOutcome::kTimeout) << name << " " << kQuery[r];
+      solved += dfs[k][r] != CheckOutcome::kUnsupported ? 1 : 0;
+    }
+    auto restricted = [](const Outcomes& o) {
+      return std::any_of(o.begin(), o.end(), verifier::OutcomeRestricts);
+    };
+    if (restricted(dfs[k])) {
+      dfs_restricted.push_back(name);
+    }
+    if (restricted(z3[k])) {
+      z3_restricted.push_back(name);
+    }
+  }
+  EXPECT_EQ(dfs_restricted, z3_restricted);
+  // Every query that reached a solver reached Z3: no session fell back to dfs.
+  EXPECT_EQ(oracle::Z3OracleChecks() - z3_checks_before, solved);
 }
 
-TEST_F(PortfolioTest, SatRaceProducesAWitnessModel) {
-  TermFactory f;
-  Term x = f.Const("x", smt::IntSort());
-  auto backend = smt::MakeBackend(BackendKind::kPortfolio, smt::SolverOptions{});
-  backend->Assert(f.Eq(x, f.IntLit(1)));
-  ASSERT_EQ(backend->Check(f), SolveResult::kSat);
-  EXPECT_FALSE(backend->model().ToString().empty());
-}
+INSTANTIATE_TEST_SUITE_P(
+    AllApps, BackendIdentityTest, ::testing::ValuesIn(apps::EvaluatedApps()),
+    [](const ::testing::TestParamInfo<apps::AppEntry>& info) { return info.param.name; });
 
-TEST_F(PortfolioTest, ExternalCancellationShortCircuitsTheRace) {
-  TermFactory f;
-  Term x = f.Const("x", smt::IntSort());
-  std::atomic<bool> cancel{true};
-  auto backend = smt::MakeBackend(BackendKind::kPortfolio, smt::SolverOptions{});
-  backend->set_cancel(&cancel);
-  backend->Assert(f.Eq(x, f.IntLit(1)));
-  EXPECT_EQ(backend->Check(f), SolveResult::kUnknown);
-  // Clearing the flag lets the same backend race normally.
-  cancel.store(false);
-  EXPECT_EQ(backend->Check(f), SolveResult::kSat);
-}
-
-// The single-core fallback: same verdicts and the same tally bookkeeping as the race,
-// with dfs deciding first and cdcl only consulted when dfs abandons.
-TEST(PortfolioCascadeTest, SequentialFallbackDecidesAndTallies) {
-  smt::PortfolioBackend::SetRaceModeForTesting(0);
-  smt::PortfolioCounts before = smt::GetPortfolioCounts();
-
-  TermFactory f;
-  Term x = f.Const("x", smt::IntSort());
-  auto backend = smt::MakeBackend(BackendKind::kPortfolio, smt::SolverOptions{});
-  backend->Assert(f.Eq(x, f.IntLit(1)));
-  backend->Assert(f.Eq(x, f.IntLit(2)));
-  EXPECT_EQ(backend->Check(f), SolveResult::kUnsat);
-  // dfs refutes this outright, so the cascade never reaches cdcl.
-  EXPECT_EQ(backend->stats().portfolio_winner, 0);
-
-  auto sat = smt::MakeBackend(BackendKind::kPortfolio, smt::SolverOptions{});
-  sat->Assert(f.Eq(x, f.IntLit(7)));
-  ASSERT_EQ(sat->Check(f), SolveResult::kSat);
-  EXPECT_FALSE(sat->model().ToString().empty());
-
-  smt::PortfolioCounts after = smt::GetPortfolioCounts();
-  EXPECT_EQ(after.races, before.races + 2);
-  EXPECT_EQ(after.wins_dfs, before.wins_dfs + 2);
-  EXPECT_EQ(after.wins_cdcl, before.wins_cdcl);
-  smt::PortfolioBackend::SetRaceModeForTesting(-1);
-}
-
-// ---------------------------------------------------- cross-backend restriction sets
+// ------------------------------------------------------------ optimization identity
 
 std::vector<std::string> VerdictLines(const verifier::RestrictionReport& report) {
   std::vector<std::string> out;
@@ -430,59 +399,8 @@ std::vector<std::string> VerdictLines(const verifier::RestrictionReport& report)
   return out;
 }
 
-// The acceptance bar for the whole redesign: on every evaluated app, the dfs, cdcl, and
-// portfolio backends must produce byte-identical restriction sets. Budgets are pinned to
-// deterministic (node-only) mode so the comparison is exact on any machine.
-class BackendIdentityTest : public ::testing::TestWithParam<apps::AppEntry> {};
-
-TEST_P(BackendIdentityTest, RestrictionSetsAreByteIdenticalAcrossBackends) {
-  app::App a = GetParam().make();
-  PipelineOptions analysis_only;
-  analysis_only.verify = false;
-  analyzer::AnalysisResult analysis = Pipeline::Run(a, analysis_only).analysis;
-
-  auto run = [&](BackendKind kind) {
-    PipelineOptions options;
-    options.parallel.threads = 2;
-    options.checker.solver.backend = kind;
-    options.checker.solver.budget.deterministic = true;
-    return Pipeline::Verify(a, analysis, options);
-  };
-
-  verifier::RestrictionReport dfs = run(BackendKind::kDfs);
-  ASSERT_FALSE(dfs.pairs.empty());
-  EXPECT_EQ(dfs.stats.solver_backend, "dfs");
-  std::vector<std::string> expected = VerdictLines(dfs);
-
-  verifier::RestrictionReport cdcl = run(BackendKind::kCdcl);
-  EXPECT_EQ(cdcl.stats.solver_backend, "cdcl");
-  EXPECT_EQ(VerdictLines(cdcl), expected);
-  EXPECT_EQ(cdcl.RestrictedPairNames(), dfs.RestrictedPairNames());
-
-  verifier::RestrictionReport portfolio = run(BackendKind::kPortfolio);
-  EXPECT_EQ(portfolio.stats.solver_backend, "portfolio");
-  EXPECT_EQ(VerdictLines(portfolio), expected);
-  EXPECT_EQ(portfolio.RestrictedPairNames(), dfs.RestrictedPairNames());
-  // Every solver query of the portfolio run was a race, and the report's tallies are
-  // deltas for this run alone.
-  if (portfolio.stats.solver_checks > 0) {
-    EXPECT_GT(portfolio.stats.portfolio_races, 0u);
-    EXPECT_EQ(portfolio.stats.portfolio_wins_dfs + portfolio.stats.portfolio_wins_cdcl +
-                  portfolio.stats.portfolio_undecided,
-              portfolio.stats.portfolio_races);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllApps, BackendIdentityTest, ::testing::ValuesIn(apps::EvaluatedApps()),
-    [](const ::testing::TestParamInfo<apps::AppEntry>& info) { return info.param.name; });
-
 // The acceptance bar for the hot-path optimizations: on every evaluated app, turning
-// incremental solving and symmetry reduction off must not move a single verdict. The
-// off-mode reference runs on dfs and is compared against pinned-on runs of dfs and
-// cdcl; the portfolio needs no row of its own — it is composed of the other two, and
-// BackendIdentityTest already pins its restriction set to theirs with the toggles at
-// their defaults.
+// incremental solving and symmetry reduction off must not move a single verdict.
 class OptimizationIdentityTest : public ::testing::TestWithParam<apps::AppEntry> {};
 
 TEST_P(OptimizationIdentityTest, TogglesDoNotChangeTheRestrictionSet) {
@@ -491,29 +409,25 @@ TEST_P(OptimizationIdentityTest, TogglesDoNotChangeTheRestrictionSet) {
   analysis_only.verify = false;
   analyzer::AnalysisResult analysis = Pipeline::Run(a, analysis_only).analysis;
 
-  auto run = [&](BackendKind kind, smt::Toggle mode) {
+  auto run = [&](smt::Toggle mode) {
     PipelineOptions options;
     options.parallel.threads = 2;
-    options.checker.solver.backend = kind;
     options.checker.solver.budget.deterministic = true;
     options.checker.solver.symmetry = mode;
     options.checker.solver.incremental = mode;
     return Pipeline::Verify(a, analysis, options);
   };
 
-  verifier::RestrictionReport off = run(BackendKind::kDfs, smt::Toggle::kOff);
+  verifier::RestrictionReport off = run(smt::Toggle::kOff);
   ASSERT_FALSE(off.pairs.empty());
   // The toggles are really off: nothing was reused or pruned.
   EXPECT_EQ(off.stats.incremental_reuse_hits, 0u);
   EXPECT_EQ(off.stats.symmetry_pruned, 0u);
   std::vector<std::string> expected = VerdictLines(off);
 
-  for (BackendKind kind : {BackendKind::kDfs, BackendKind::kCdcl}) {
-    verifier::RestrictionReport on = run(kind, smt::Toggle::kOn);
-    EXPECT_EQ(VerdictLines(on), expected) << smt::BackendKindName(kind);
-    EXPECT_EQ(on.RestrictedPairNames(), off.RestrictedPairNames())
-        << smt::BackendKindName(kind);
-  }
+  verifier::RestrictionReport on = run(smt::Toggle::kOn);
+  EXPECT_EQ(VerdictLines(on), expected);
+  EXPECT_EQ(on.RestrictedPairNames(), off.RestrictedPairNames());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -551,7 +465,6 @@ TEST(SearchIdentityTest, WidthOneDfsTalliesArePinned) {
     Engine engine(config);
     PipelineOptions options;
     options.parallel.threads = 1;
-    options.checker.solver.backend = BackendKind::kDfs;
     options.checker.solver.budget.deterministic = true;
     options.checker.solver.symmetry = smt::Toggle::kOn;
     options.checker.solver.incremental = smt::Toggle::kOn;

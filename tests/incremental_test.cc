@@ -564,7 +564,6 @@ TEST(KeyDigestTest, GoldenDigestOfAFixedKeyText) {
 
   // Under default options the digested text is the option prefix plus the key text.
   verifier::CheckerOptions options;
-  options.solver.backend = smt::BackendKind::kDfs;
   app::App a = apps::MakeSmallBankApp();
   soir::CanonicalizationCtx ctx(a.schema());
   verifier::VerdictKeyer keyer(options);
@@ -578,7 +577,6 @@ TEST(KeyDigestTest, OnlyVerdictDecidingOptionsSeparateKeys) {
   ctx.ModelId(0);
   const std::string text = "com|x";
   verifier::CheckerOptions base;
-  base.solver.backend = smt::BackendKind::kDfs;
   const verifier::VerdictKey reference = verifier::VerdictKeyer(base).Key(text, ctx);
   auto key_with = [&](const std::function<void(verifier::CheckerOptions&)>& change) {
     verifier::CheckerOptions o = base;
@@ -591,7 +589,6 @@ TEST(KeyDigestTest, OnlyVerdictDecidingOptionsSeparateKeys) {
       [](verifier::CheckerOptions& o) { o.solver.scope.SetModelSize(0, 3); },
       [](verifier::CheckerOptions& o) { o.solver.max_int_domain = 9; },
       [](verifier::CheckerOptions& o) { o.solver.max_string_domain = 7; },
-      [](verifier::CheckerOptions& o) { o.solver.backend = smt::BackendKind::kCdcl; },
       [](verifier::CheckerOptions& o) { o.encoder.use_order = false; },
       [](verifier::CheckerOptions& o) { o.encoder.unique_id_optimization = false; },
       [](verifier::CheckerOptions& o) { o.fresh_origin_states = false; },
@@ -921,7 +918,6 @@ TEST(VerdictCacheSoundnessTest, TimeoutsAreNotStoredAndTheNextRunSolvesThePair) 
   };
 
   IncrementalOptions starved = Opts();
-  starved.pipeline.checker.solver.backend = smt::BackendKind::kDfs;
   starved.pipeline.checker.solver.budget.max_nodes = 20000;
   IncrementalResult first = engine.RunIncremental(zhihu, store, starved);
   ASSERT_EQ(find_pair(first.run.restrictions).commutativity, verifier::CheckOutcome::kTimeout);
@@ -946,7 +942,6 @@ TEST(VerdictCacheSoundnessTest, TimeoutsAreNotStoredAndTheNextRunSolvesThePair) 
   EXPECT_FALSE(on_disk.Lookup(keyer.Key(text.Text("com", order), text.ctx())).has_value());
 
   IncrementalOptions full = Opts();
-  full.pipeline.checker.solver.backend = smt::BackendKind::kDfs;
   full.paranoia = 1.0;
   IncrementalResult next = engine.RunIncremental(zhihu, store, full);
   EXPECT_FALSE(next.cold);

@@ -386,28 +386,30 @@ TEST(EngineTest, IncrementalRunVerifiesOnTheEnginePool) {
 }
 
 TEST(EngineTest, SequentialEnginesKeepIndependentSolverTallies) {
-  // Regression for the cross-run counter bleed: portfolio/solver tallies used to live in
+  // Regression for the cross-run counter bleed: solver tallies used to live in
   // process-wide globals, so a second pipeline's lifetime counters started wherever the
   // first left off. Each Engine owns its sink now — its tally is exactly its own work.
+  // One thread, so both engines solve exactly the same queries (no twin-query race).
   EngineConfig config;
-  config.solver = smt::BackendKind::kPortfolio;
+  config.threads = 1;
   app::App todo = apps::MakeTodoApp();
 
   Engine first(config);
   PipelineResult r1 = first.Run(todo);
-  const smt::PortfolioCounts p1 = first.counters().Portfolio();
+  const smt::SolverSharedCounts c1 = first.counters().Shared();
 
   Engine second(config);
   PipelineResult r2 = second.Run(todo);
-  const smt::PortfolioCounts p2 = second.counters().Portfolio();
+  const smt::SolverSharedCounts c2 = second.counters().Shared();
 
-  ASSERT_GT(r1.restrictions.stats.portfolio_races, 0u);
-  EXPECT_EQ(p1.races, r1.restrictions.stats.portfolio_races);
-  EXPECT_EQ(p2.races, r2.restrictions.stats.portfolio_races);
-  EXPECT_EQ(p1.races, p2.races);  // identical work, not first's tally plus second's
+  ASSERT_GT(r1.restrictions.stats.incremental_reuse_hits, 0u);
+  EXPECT_EQ(c1.incremental_reuse_hits, r1.restrictions.stats.incremental_reuse_hits);
+  EXPECT_EQ(c2.incremental_reuse_hits, r2.restrictions.stats.incremental_reuse_hits);
+  // Identical work, not first's tally plus second's.
+  EXPECT_EQ(c1.incremental_reuse_hits, c2.incremental_reuse_hits);
+  EXPECT_EQ(c1.symmetry_pruned, c2.symmetry_pruned);
   // Running the second engine must not have moved the first engine's counters.
-  EXPECT_EQ(first.counters().Portfolio().races, p1.races);
-  EXPECT_EQ(p1.wins_dfs + p1.wins_cdcl + p1.undecided, p1.races);
+  EXPECT_EQ(first.counters().Shared().incremental_reuse_hits, c1.incremental_reuse_hits);
 }
 
 TEST(EngineTest, IdleEngineConstructsAndDestructsCleanly) {
@@ -431,13 +433,11 @@ TEST(EngineTest, VerdictCacheCapacityKnobReachesTheEngineCache) {
 
 TEST(EngineTest, ResolveOptionsPinsAutoKnobsAndInjectsEngineState) {
   EngineConfig config;
-  config.solver = smt::BackendKind::kCdcl;
   config.symmetry = false;
   Engine engine(config);
 
   PipelineOptions defaults;
   PipelineOptions resolved = engine.ResolveOptions(defaults);
-  EXPECT_EQ(resolved.checker.solver.backend, smt::BackendKind::kCdcl);
   EXPECT_EQ(resolved.checker.solver.symmetry, smt::Toggle::kOff);
   EXPECT_EQ(resolved.parallel.pool, &engine.pool());
   EXPECT_EQ(resolved.parallel.counters, &engine.counters());

@@ -18,6 +18,7 @@
 #include "src/smt/solver.h"
 #include "src/support/rng.h"
 #include "src/verifier/report.h"
+#include "tests/z3_oracle.h"
 
 namespace noctua {
 namespace {
@@ -116,6 +117,9 @@ smt::Value EvalUnderModel(const Scope& scope, Term t, const smt::SmtModel& model
 class SolverPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SolverPropertyTest, SatModelsSatisfyFormulaUnderIndependentEvaluator) {
+  if (oracle::MakeZ3Oracle(smt::SolverOptions{}) == nullptr) {
+    GTEST_SKIP() << "built without Z3";
+  }
   Rng rng(GetParam());
   for (int round = 0; round < 40; ++round) {
     TermFactory f;
@@ -124,13 +128,14 @@ TEST_P(SolverPropertyTest, SatModelsSatisfyFormulaUnderIndependentEvaluator) {
     smt::SolverOptions options;
     options.budget.timeout_seconds = 5.0;
 
-    // Every random formula doubles as a cross-backend agreement check: the model finder
-    // and the CDCL backend decide the same finite question, so their verdicts must match
-    // and each backend's model must satisfy the formula under the independent Evaluator.
-    constexpr smt::BackendKind kKinds[] = {smt::BackendKind::kDfs, smt::BackendKind::kCdcl};
+    // Every random formula doubles as an oracle check: the model finder and Z3 decide
+    // the same finite question, so their verdicts must match and each one's model must
+    // satisfy the formula under the independent Evaluator.
+    using Maker = std::unique_ptr<smt::SolverBackend> (*)(const smt::SolverOptions&);
+    constexpr Maker kMakers[] = {smt::MakeBackend, oracle::MakeZ3Oracle};
     smt::SolveResult verdicts[2];
     for (int b = 0; b < 2; ++b) {
-      std::unique_ptr<smt::SolverBackend> backend = smt::MakeBackend(kKinds[b], options);
+      std::unique_ptr<smt::SolverBackend> backend = kMakers[b](options);
       backend->Assert(formula);
       smt::SolveResult r = backend->Check(f);
       ASSERT_NE(r, smt::SolveResult::kUnknown);
@@ -145,13 +150,13 @@ TEST_P(SolverPropertyTest, SatModelsSatisfyFormulaUnderIndependentEvaluator) {
         }
       } else {
         // UNSAT: the negation must be satisfiable (no formula is both ways).
-        std::unique_ptr<smt::SolverBackend> neg = smt::MakeBackend(kKinds[b], options);
+        std::unique_ptr<smt::SolverBackend> neg = kMakers[b](options);
         neg->Assert(f.Not(formula));
         EXPECT_EQ(neg->Check(f), smt::SolveResult::kSat)
             << backend->name() << ": " << formula->ToString();
       }
     }
-    ASSERT_EQ(verdicts[0], verdicts[1]) << "dfs and cdcl disagree on " << formula->ToString();
+    ASSERT_EQ(verdicts[0], verdicts[1]) << "dfs and z3 disagree on " << formula->ToString();
   }
 }
 
@@ -217,30 +222,27 @@ TEST_P(SolverPropertyTest, LinearNormalFormIsSemanticallyCorrect) {
 
 // Lex-leader symmetry reduction prunes only non-canonical witnesses, never verdicts:
 // every random formula must be decided identically with the reduction pinned on and
-// off, on both concrete backends. Scope 3 so the reduction actually engages (a scope-2
-// group has a single non-trivial transposition and truncates almost nothing).
+// off. Scope 3 so the reduction actually engages (a scope-2 group has a single
+// non-trivial transposition and truncates almost nothing).
 TEST_P(SolverPropertyTest, SymmetryReductionPreservesVerdicts) {
   Rng rng(GetParam() * 101 + 13);
   for (int round = 0; round < 25; ++round) {
     TermFactory f;
     RandomTerms gen(&f, &rng);
     Term formula = gen.Bool(3);
-    for (smt::BackendKind kind : {smt::BackendKind::kDfs, smt::BackendKind::kCdcl}) {
-      smt::SolveResult verdicts[2];
-      for (int on = 0; on < 2; ++on) {
-        smt::SolverOptions options;
-        options.scope = Scope(3);
-        options.budget.timeout_seconds = 5.0;
-        options.symmetry = on ? smt::Toggle::kOn : smt::Toggle::kOff;
-        std::unique_ptr<smt::SolverBackend> backend = smt::MakeBackend(kind, options);
-        backend->Assert(formula);
-        verdicts[on] = backend->Check(f);
-        ASSERT_NE(verdicts[on], smt::SolveResult::kUnknown);
-      }
-      EXPECT_EQ(verdicts[0], verdicts[1])
-          << smt::BackendKindName(kind) << " verdict moved under symmetry reduction: "
-          << formula->ToString();
+    smt::SolveResult verdicts[2];
+    for (int on = 0; on < 2; ++on) {
+      smt::SolverOptions options;
+      options.scope = Scope(3);
+      options.budget.timeout_seconds = 5.0;
+      options.symmetry = on ? smt::Toggle::kOn : smt::Toggle::kOff;
+      std::unique_ptr<smt::SolverBackend> backend = smt::MakeBackend(options);
+      backend->Assert(formula);
+      verdicts[on] = backend->Check(f);
+      ASSERT_NE(verdicts[on], smt::SolveResult::kUnknown);
     }
+    EXPECT_EQ(verdicts[0], verdicts[1])
+        << "verdict moved under symmetry reduction: " << formula->ToString();
   }
 }
 
@@ -292,22 +294,20 @@ TEST_P(SolverPropertyTest, VerdictsInvariantUnderInstancePermutation) {
                      : f.Le(f.Select(arr, lit), f.IntLit(rng.NextInRange(-2, 2)));
     Term base = gen.Bool(3);
     Term formula = rng.NextBool() ? f.And(base, decor) : f.Or(base, decor);
-    for (smt::BackendKind kind : {smt::BackendKind::kDfs, smt::BackendKind::kCdcl}) {
-      smt::SolverOptions options;
-      options.scope = Scope(3);
-      options.budget.timeout_seconds = 5.0;
-      std::unique_ptr<smt::SolverBackend> backend = smt::MakeBackend(kind, options);
-      backend->Assert(formula);
-      smt::SolveResult expected = backend->Check(f);
-      ASSERT_NE(expected, smt::SolveResult::kUnknown);
-      for (auto [a, b] : {std::pair<int, int>{0, 1}, {1, 2}, {0, 2}}) {
-        Term image = TransposeRefs(f, formula, a, b);
-        std::unique_ptr<smt::SolverBackend> pb = smt::MakeBackend(kind, options);
-        pb->Assert(image);
-        EXPECT_EQ(pb->Check(f), expected)
-            << smt::BackendKindName(kind) << " transposition (" << a << " " << b
-            << ") moved the verdict: " << formula->ToString();
-      }
+    smt::SolverOptions options;
+    options.scope = Scope(3);
+    options.budget.timeout_seconds = 5.0;
+    std::unique_ptr<smt::SolverBackend> backend = smt::MakeBackend(options);
+    backend->Assert(formula);
+    smt::SolveResult expected = backend->Check(f);
+    ASSERT_NE(expected, smt::SolveResult::kUnknown);
+    for (auto [a, b] : {std::pair<int, int>{0, 1}, {1, 2}, {0, 2}}) {
+      Term image = TransposeRefs(f, formula, a, b);
+      std::unique_ptr<smt::SolverBackend> pb = smt::MakeBackend(options);
+      pb->Assert(image);
+      EXPECT_EQ(pb->Check(f), expected)
+          << "transposition (" << a << " " << b << ") moved the verdict: "
+          << formula->ToString();
     }
   }
 }

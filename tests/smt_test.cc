@@ -1,6 +1,7 @@
 // Unit tests for the SMT substrate: sorts, term construction/simplification, evaluation,
-// the atom-mask filter of the substitution helpers, and the solver backends (every solver
-// test runs against dfs, cdcl, and portfolio).
+// the atom-mask filter of the substitution helpers, and the solver (every solver test
+// runs against the model finder and the two test-only reference procedures: the CDCL
+// procedure of tests/cdcl_oracle.h and the Z3 oracle of tests/z3_oracle.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,8 @@
 #include "src/smt/sort.h"
 #include "src/smt/term.h"
 #include "src/verifier/encoder.h"
+#include "tests/cdcl_oracle.h"
+#include "tests/z3_oracle.h"
 
 namespace noctua::smt {
 namespace {
@@ -537,13 +540,51 @@ TEST(DfsCapTest, SearchThroughACappedFrameKeepsTheVerdict) {
 
 // --- Solver -------------------------------------------------------------------------------
 
-// Every solver-behavior test runs against each backend: the same queries must get the
-// same verdicts from the model finder, the CDCL backend, and the portfolio race.
-class SolverTest : public ::testing::TestWithParam<BackendKind> {
+// The decision procedures every solver-behavior test runs on: the production model
+// finder, the CDCL reference procedure, and the Z3 oracle. dfs and cdcl keep the values
+// BackendKind gave them, so their parameter printouts stay stable.
+enum class Procedure : uint8_t { kDfs = 1, kCdcl = 2, kZ3 = 3 };
+
+std::string ProcedureName(Procedure p) {
+  switch (p) {
+    case Procedure::kDfs:
+      return "dfs";
+    case Procedure::kCdcl:
+      return "cdcl";
+    case Procedure::kZ3:
+      return "z3";
+  }
+  return "?";
+}
+
+std::unique_ptr<SolverBackend> MakeProcedure(Procedure p, const SolverOptions& options) {
+  switch (p) {
+    case Procedure::kDfs:
+      return MakeBackend(options);
+    case Procedure::kCdcl:
+      return oracle::MakeCdclOracle(options);
+    case Procedure::kZ3:
+      return oracle::MakeZ3Oracle(options);
+  }
+  return nullptr;
+}
+
+bool Unavailable(Procedure p) {
+  return p == Procedure::kZ3 && oracle::MakeZ3Oracle(SolverOptions{}) == nullptr;
+}
+
+// Every solver-behavior test runs against all three procedures: the same queries must
+// get the same verdicts from each of them over the same bounded domains.
+class SolverTest : public ::testing::TestWithParam<Procedure> {
  protected:
+  void SetUp() override {
+    if (Unavailable(GetParam())) {
+      GTEST_SKIP() << "built without Z3";
+    }
+  }
+
   SolveResult Check(const std::vector<Term>& assertions) {
-    options.backend = GetParam();
-    std::unique_ptr<SolverBackend> backend = MakeBackend(options);
+    std::unique_ptr<SolverBackend> backend = MakeProcedure(GetParam(), options);
     last_model.values.clear();
     backend->AssertAll(assertions);
     SolveResult r = backend->Check(f);
@@ -574,6 +615,15 @@ TEST_P(SolverTest, ArithmeticWitness) {
   Term y = f.Const("y", IntSort());
   // x + y == 3 and x < y has a witness with the harvested domain {.., 2, 3, 4}.
   EXPECT_EQ(Check({f.Eq(f.Add(x, y), f.IntLit(3)), f.Lt(x, y)}), SolveResult::kSat);
+}
+
+TEST_P(SolverTest, IntOutsideHarvestedDomainIsUnsat) {
+  Term x = f.Const("x", IntSort());
+  Term y = f.Const("y", IntSort());
+  // Over the integers x = 10 is a witness, but the harvested domain is {0, 1, 4, 5, 6}:
+  // every procedure decides the bounded question, so each must refute.
+  EXPECT_EQ(Check({f.Eq(y, f.IntLit(5)), f.Eq(x, f.Add(y, f.IntLit(5)))}),
+            SolveResult::kUnsat);
 }
 
 TEST_P(SolverTest, RefDistinctBeyondScopeIsUnsat) {
@@ -675,31 +725,32 @@ TEST_P(SolverTest, CommutativityStyleQuery) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, SolverTest,
-                         ::testing::Values(BackendKind::kDfs, BackendKind::kCdcl,
-                                           BackendKind::kPortfolio),
-                         [](const ::testing::TestParamInfo<BackendKind>& info) {
-                           return std::string(BackendKindName(info.param));
+                         ::testing::Values(Procedure::kDfs, Procedure::kCdcl, Procedure::kZ3),
+                         [](const ::testing::TestParamInfo<Procedure>& info) {
+                           return ProcedureName(info.param);
                          });
 
-// Parameterized sweep: solver scope sizes behave consistently, on every backend.
-class ScopeSweepTest : public ::testing::TestWithParam<std::tuple<int, BackendKind>> {};
+// Parameterized sweep: solver scope sizes behave consistently, on every procedure.
+class ScopeSweepTest : public ::testing::TestWithParam<std::tuple<int, Procedure>> {};
 
 TEST_P(ScopeSweepTest, PigeonholePrinciple) {
   // k+1 pairwise distinct refs never fit in a scope of k; k do.
-  auto [k, kind] = GetParam();
+  auto [k, procedure] = GetParam();
+  if (Unavailable(procedure)) {
+    GTEST_SKIP() << "built without Z3";
+  }
   TermFactory f;
   SolverOptions options;
   options.scope = Scope(k);
-  options.backend = kind;
   std::vector<Term> refs;
   for (int i = 0; i <= k; ++i) {
     refs.push_back(f.Const("r" + std::to_string(i), RefSort(0)));
   }
-  std::unique_ptr<SolverBackend> backend = MakeBackend(options);
+  std::unique_ptr<SolverBackend> backend = MakeProcedure(procedure, options);
   backend->AssertAll({f.Distinct(refs)});
   EXPECT_EQ(backend->Check(f), SolveResult::kUnsat);
   refs.pop_back();
-  std::unique_ptr<SolverBackend> backend2 = MakeBackend(options);
+  std::unique_ptr<SolverBackend> backend2 = MakeProcedure(procedure, options);
   backend2->AssertAll({f.Distinct(refs)});
   EXPECT_EQ(backend2->Check(f), SolveResult::kSat);
 }
@@ -707,11 +758,10 @@ TEST_P(ScopeSweepTest, PigeonholePrinciple) {
 INSTANTIATE_TEST_SUITE_P(
     Scopes, ScopeSweepTest,
     ::testing::Combine(::testing::Values(1, 2, 3, 4),
-                       ::testing::Values(BackendKind::kDfs, BackendKind::kCdcl,
-                                         BackendKind::kPortfolio)),
-    [](const ::testing::TestParamInfo<std::tuple<int, BackendKind>>& info) {
+                       ::testing::Values(Procedure::kDfs, Procedure::kCdcl, Procedure::kZ3)),
+    [](const ::testing::TestParamInfo<std::tuple<int, Procedure>>& info) {
       return "k" + std::to_string(std::get<0>(info.param)) +
-             std::string(BackendKindName(std::get<1>(info.param)));
+             ProcedureName(std::get<1>(info.param));
     });
 
 // --- Incremental solving ------------------------------------------------------------------
@@ -722,52 +772,49 @@ INSTANTIATE_TEST_SUITE_P(
 // the same goal-first conjunction — same verdict, same model, byte for byte. The second
 // framed Check must also report ground-cache reuse for the unchanged frame roots.
 TEST(IncrementalBackendTest, PushPopRoundTripMatchesFreshSolve) {
-  for (BackendKind kind : {BackendKind::kDfs, BackendKind::kCdcl}) {
-    TermFactory f;
-    SolverOptions options;
-    options.backend = kind;
-    options.incremental = Toggle::kOn;
+  TermFactory f;
+  SolverOptions options;
+  options.incremental = Toggle::kOn;
 
-    Sort rs = RefSort(0);
-    Sort obj = TupleSort({rs, IntSort()});
-    Term data = f.Const("data", ArraySort(rs, obj));
-    Term ids = f.Const("ids", SetSort(rs));
-    Term v = f.NewBoundVar(rs);
-    Term wf = f.Forall(v, f.Eq(f.Proj(f.Select(data, v), 0), v));
-    Term x = f.Const("x", rs);
-    Term y = f.Const("y", rs);
-    Term both_in = f.And(f.Member(x, ids), f.Member(y, ids));
-    Term same_pk = f.Eq(f.Proj(f.Select(data, x), 0), f.Proj(f.Select(data, y), 0));
+  Sort rs = RefSort(0);
+  Sort obj = TupleSort({rs, IntSort()});
+  Term data = f.Const("data", ArraySort(rs, obj));
+  Term ids = f.Const("ids", SetSort(rs));
+  Term v = f.NewBoundVar(rs);
+  Term wf = f.Forall(v, f.Eq(f.Proj(f.Select(data, v), 0), v));
+  Term x = f.Const("x", rs);
+  Term y = f.Const("y", rs);
+  Term both_in = f.And(f.Member(x, ids), f.Member(y, ids));
+  Term same_pk = f.Eq(f.Proj(f.Select(data, x), 0), f.Proj(f.Select(data, y), 0));
 
-    std::unique_ptr<SolverBackend> inc = MakeBackend(options);
-    ASSERT_TRUE(inc->caps().incremental) << BackendKindName(kind);
-    inc->AssertAll({wf, both_in});
-    const std::vector<Term> frame = inc->assertions();
+  std::unique_ptr<SolverBackend> inc = MakeBackend(options);
+  ASSERT_TRUE(inc->caps().incremental);
+  inc->AssertAll({wf, both_in});
+  const std::vector<Term> frame = inc->assertions();
 
-    inc->Push();
-    inc->AddAssertion(same_pk);
-    inc->AddAssertion(f.Neq(x, y));
-    EXPECT_EQ(inc->Check(f), SolveResult::kUnsat) << BackendKindName(kind);
-    inc->Pop();
-    EXPECT_EQ(inc->num_frames(), 0u);
-    EXPECT_EQ(inc->assertions(), frame);
+  inc->Push();
+  inc->AddAssertion(same_pk);
+  inc->AddAssertion(f.Neq(x, y));
+  EXPECT_EQ(inc->Check(f), SolveResult::kUnsat);
+  inc->Pop();
+  EXPECT_EQ(inc->num_frames(), 0u);
+  EXPECT_EQ(inc->assertions(), frame);
 
-    inc->Push();
-    inc->AddAssertion(f.Eq(x, y));
-    SolveResult r = inc->Check(f);
-    ASSERT_EQ(r, SolveResult::kSat) << BackendKindName(kind);
-    EXPECT_GT(inc->stats().incremental_reuse_hits, 0u) << BackendKindName(kind);
-    const std::string inc_model = inc->model().ToString();
-    inc->Pop();
-    EXPECT_EQ(inc->assertions(), frame);
+  inc->Push();
+  inc->AddAssertion(f.Eq(x, y));
+  SolveResult r = inc->Check(f);
+  ASSERT_EQ(r, SolveResult::kSat);
+  EXPECT_GT(inc->stats().incremental_reuse_hits, 0u);
+  const std::string inc_model = inc->model().ToString();
+  inc->Pop();
+  EXPECT_EQ(inc->assertions(), frame);
 
-    // Check() hands the innermost frame to the procedure first, so the fresh twin
-    // asserts the goal ahead of the frame.
-    std::unique_ptr<SolverBackend> fresh = MakeBackend(options);
-    fresh->AssertAll({f.Eq(x, y), wf, both_in});
-    ASSERT_EQ(fresh->Check(f), r) << BackendKindName(kind);
-    EXPECT_EQ(fresh->model().ToString(), inc_model) << BackendKindName(kind);
-  }
+  // Check() hands the innermost frame to the procedure first, so the fresh twin
+  // asserts the goal ahead of the frame.
+  std::unique_ptr<SolverBackend> fresh = MakeBackend(options);
+  fresh->AssertAll({f.Eq(x, y), wf, both_in});
+  ASSERT_EQ(fresh->Check(f), r);
+  EXPECT_EQ(fresh->model().ToString(), inc_model);
 }
 
 }  // namespace
