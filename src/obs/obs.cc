@@ -663,12 +663,11 @@ ScopedSpan::~ScopedSpan() {
 // ---------------------------------------------------------------------------------------
 // Collector
 
-Collector::Collector(ObsOptions options) : options_(std::move(options)) {
-  Registry& reg = Reg();
-  std::lock_guard<std::mutex> lk(reg.mu);
-  NOCTUA_CHECK_MSG(!reg.active,
-                   "a noctua::obs::Collector is already installed — one recording "
-                   "session at a time");
+namespace {
+
+// Claims the registry for a new recording session and resets it. Caller holds reg.mu
+// and has checked that no collector is installed.
+void InstallLocked(Registry& reg) {
   reg.active = true;
   reg.buffers.clear();
   reg.next_tid = 1;
@@ -693,6 +692,28 @@ Collector::Collector(ObsOptions options) : options_(std::move(options)) {
   reg.epoch_us.store(NowMicros(), std::memory_order_relaxed);
   reg.generation.fetch_add(1, std::memory_order_release);
   reg.enabled.store(true, std::memory_order_release);
+}
+
+}  // namespace
+
+Collector::Collector(ObsOptions options) : options_(std::move(options)) {
+  Registry& reg = Reg();
+  std::lock_guard<std::mutex> lk(reg.mu);
+  NOCTUA_CHECK_MSG(!reg.active,
+                   "a noctua::obs::Collector is already installed — one recording "
+                   "session at a time");
+  InstallLocked(reg);
+}
+
+std::unique_ptr<Collector> Collector::TryInstall(ObsOptions options) {
+  Registry& reg = Reg();
+  std::lock_guard<std::mutex> lk(reg.mu);
+  if (reg.active) {
+    return nullptr;
+  }
+  std::unique_ptr<Collector> collector(new Collector(std::move(options), Installed{}));
+  InstallLocked(reg);
+  return collector;
 }
 
 Collector::~Collector() {

@@ -16,8 +16,9 @@
 //     relaxed atomics.
 //   * One collector at a time. A Collector installs itself as the process-global sink
 //     (resetting counters and buffers), records until Stop(), and then exposes the
-//     snapshot. Pipeline::Run owns this wiring when PipelineOptions::obs.enabled is set;
-//     nothing else in the library installs collectors, it only feeds whatever is active.
+//     snapshot. Engine runs own this wiring when PipelineOptions::obs.enabled is set,
+//     through Collector::TryInstall, so concurrent runs never both install; nothing
+//     else in the library installs collectors, it only feeds whatever is active.
 //
 // Instrumentation is fed at aggregation points (end of a check, end of a run), never in
 // per-node inner loops — the solver counts its own nodes and the checker flushes the
@@ -27,6 +28,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -189,8 +191,9 @@ struct HistSummary {
 // sites use before building dynamic span names.
 bool Enabled();
 
-// True while a collector object is installed (it may have been stopped already). Used by
-// Pipeline to avoid installing a nested collector when a bench already owns one.
+// True while a collector object is installed (it may have been stopped already). A
+// snapshot that another thread may falsify at once: to install a collector only when
+// none is installed, use Collector::TryInstall.
 bool Active();
 
 // Live (mid-recording) reads of the active recording session. Unlike
@@ -373,6 +376,12 @@ class Collector {
   explicit Collector(ObsOptions options);
   ~Collector();
 
+  // Installs a collector unless one is already installed, checking and installing in one
+  // atomic step: of several threads racing here, one gets the collector and the others
+  // get nullptr, whose probes then record into the winner's session while it lasts.
+  // For code that may run concurrently with another would-be owner (two engine runs).
+  static std::unique_ptr<Collector> TryInstall(ObsOptions options);
+
   Collector(const Collector&) = delete;
   Collector& operator=(const Collector&) = delete;
 
@@ -397,6 +406,10 @@ class Collector {
   bool WriteChromeTrace(const std::string& path) const;
 
  private:
+  struct Installed {};
+  // For TryInstall, which has already claimed the registry.
+  Collector(ObsOptions options, Installed) : options_(std::move(options)) {}
+
   ObsOptions options_;
   bool stopped_ = false;
   std::vector<TraceEvent> events_;

@@ -1,7 +1,7 @@
 #include "src/pipeline/engine.h"
 
 #include <cstdio>
-#include <optional>
+#include <memory>
 
 #include "src/support/env.h"
 #include "src/support/stopwatch.h"
@@ -62,14 +62,12 @@ PipelineOptions Engine::ResolveOptions(const PipelineOptions& options) const {
 verifier::RestrictionReport Engine::Verify(const app::App& app,
                                            const analyzer::AnalysisResult& analysis,
                                            const PipelineOptions& options) {
-  PipelineOptions o = ResolveOptions(options);
-  std::lock_guard<std::mutex> lock(run_mutex_);
-  return VerifyLocked(app, analysis, o);
+  return VerifyResolved(app, analysis, ResolveOptions(options));
 }
 
-verifier::RestrictionReport Engine::VerifyLocked(const app::App& app,
-                                                 const analyzer::AnalysisResult& analysis,
-                                                 const PipelineOptions& resolved) {
+verifier::RestrictionReport Engine::VerifyResolved(const app::App& app,
+                                                   const analyzer::AnalysisResult& analysis,
+                                                   const PipelineOptions& resolved) {
   verifier::Checker checker(app.schema(), resolved.checker);
   static const std::vector<soir::CodePath> kNoObservers;
   const std::vector<soir::CodePath>& observers =
@@ -78,13 +76,50 @@ verifier::RestrictionReport Engine::VerifyLocked(const app::App& app,
                                        observers);
 }
 
-PipelineResult Engine::Run(const app::App& app, const PipelineOptions& options) {
-  // Own a collector only when asked *and* nobody outer owns one already — a bench that
-  // installed its own collector gets this run's spans recorded into it instead.
-  std::optional<obs::Collector> collector;
-  if (options.obs.enabled && !obs::Active()) {
-    collector.emplace(options.obs);
+// Holds one store's lock for its lifetime, creating the table entry on first use and
+// erasing it when the last run holding or waiting for it leaves.
+class Engine::StoreGuard {
+ public:
+  StoreGuard(Engine& engine, const std::string& store_dir)
+      : engine_(engine), store_dir_(store_dir) {
+    {
+      std::lock_guard<std::mutex> lk(engine_.store_locks_mu_);
+      std::unique_ptr<StoreLock>& slot = engine_.store_locks_[store_dir_];
+      if (slot == nullptr) {
+        slot = std::make_unique<StoreLock>();
+      }
+      lock_ = slot.get();
+      ++lock_->users;
+    }
+    lock_->mu.lock();
   }
+  ~StoreGuard() {
+    lock_->mu.unlock();
+    std::lock_guard<std::mutex> lk(engine_.store_locks_mu_);
+    if (--lock_->users == 0) {
+      engine_.store_locks_.erase(store_dir_);
+    }
+  }
+  StoreGuard(const StoreGuard&) = delete;
+  StoreGuard& operator=(const StoreGuard&) = delete;
+
+ private:
+  Engine& engine_;
+  const std::string store_dir_;
+  StoreLock* lock_ = nullptr;
+};
+
+size_t Engine::StoreLocksInUse() const {
+  std::lock_guard<std::mutex> lk(store_locks_mu_);
+  return store_locks_.size();
+}
+
+PipelineResult Engine::Run(const app::App& app, const PipelineOptions& options) {
+  // Own a collector only when asked *and* nobody owns one already — a bench that
+  // installed its own collector, or a concurrent run that installed first, gets this
+  // run's spans recorded into it instead, and this run reports none.
+  std::unique_ptr<obs::Collector> collector =
+      options.obs.enabled ? obs::Collector::TryInstall(options.obs) : nullptr;
 
   Stopwatch watch;
   PipelineResult result;
@@ -131,14 +166,13 @@ IncrementalResult Engine::RunIncremental(const app::App& app, const std::string&
   // Pool, counters, and knob resolutions carry into the verify stage through the option
   // structs; the store loaded below replaces the engine cache injection.
   PipelineOptions popts = ResolveOptions(options.pipeline);
-  std::lock_guard<std::mutex> lock(run_mutex_);
+  StoreGuard store_lock(*this, store_dir);
   obs::ScopedSpan engine_span("engine_run", obs::kCatPipeline);
   // Same ownership rule as Run: install a collector only when asked and none is active,
   // so a bench wrapping several incremental runs can own one collector.
-  std::optional<obs::Collector> collector;
-  if (options.pipeline.obs.enabled && !obs::Active()) {
-    collector.emplace(options.pipeline.obs);
-  }
+  std::unique_ptr<obs::Collector> collector =
+      options.pipeline.obs.enabled ? obs::Collector::TryInstall(options.pipeline.obs)
+                                   : nullptr;
 
   Stopwatch watch;
   IncrementalResult result;
@@ -191,7 +225,7 @@ IncrementalResult Engine::RunIncremental(const app::App& app, const std::string&
     popts.parallel.store = &store;
     popts.parallel.paranoia = options.paranoia;
     popts.parallel.paranoia_seed = options.paranoia_seed;
-    result.run.restrictions = VerifyLocked(app, result.run.analysis, popts);
+    result.run.restrictions = VerifyResolved(app, result.run.analysis, popts);
     verify_seconds = phase.ElapsedSeconds();
     result.pairs_replayed = result.run.restrictions.stats.pairs_replayed;
     result.pairs_computed = result.run.restrictions.stats.pairs_computed;

@@ -9,12 +9,16 @@
 //     NOCTUA_THREADS / NOCTUA_SYMMETRY / NOCTUA_INCREMENTAL /
 //     NOCTUA_ARTIFACT_DIR / NOCTUA_VERDICT_CACHE). A running engine never consults the
 //     environment again, so a daemon's behavior cannot drift when its environment does.
-//   - Run/Verify/RunIncremental are safe to call from many threads: the verify stage is
-//     serialized on an internal mutex because the work-stealing ThreadPool supports one
-//     ParallelFor at a time. Callers queue; admission control (bounding that queue)
-//     belongs to the service layer above, not here.
-//   - Solver tallies land in the engine's own SolverCounterSink, so two engines (or an
-//     engine and a bare Pipeline::Run) never read each other's before/after deltas.
+//   - Run/Verify/RunIncremental are safe to call from many threads, and concurrent
+//     calls run at the same time: their pair loops share the engine's pool as separate
+//     task groups. The only lock a run takes is its own store's — two RunIncremental
+//     calls on one store_dir serialize, calls on different stores never wait for each
+//     other, and Run/Verify take no lock at all. How many runs may be in flight
+//     (admission control) is the service layer's decision, not the engine's.
+//   - Every count a run reports is its own, taken inside the run, even while other
+//     runs share the pool, the verdict cache and the solver sink. Solver tallies are
+//     then added to the engine's own SolverCounterSink, so two engines (or an engine
+//     and a bare Pipeline::Run) never mix their totals.
 //   - The verdict cache is engine-owned and shared across calls AND tenants: keys are
 //     canonical query fingerprints, which are app-content-addressed, so a hit is always
 //     semantically valid. Tenant isolation applies to the on-disk artifact namespace
@@ -28,6 +32,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 
 #include "src/pipeline/pipeline.h"
 #include "src/pipeline/session.h"
@@ -84,10 +89,14 @@ class Engine {
                                      const PipelineOptions& options = {});
   // One warm run against the artifact store at `store_dir` (see session.h): load the
   // prior artifacts, re-analyze what changed, verify on this engine with the loaded
-  // verdicts as the store, and write back what changed. Serialized as a whole on the
-  // engine, so two requests never race on one store.
+  // verdicts as the store, and write back what changed. Holds the lock of `store_dir`
+  // (the string as given) for the whole run, so two requests never race on one store.
   IncrementalResult RunIncremental(const app::App& app, const std::string& store_dir,
                                    const IncrementalOptions& options = {});
+
+  // Stores with a RunIncremental in flight (holding or waiting for the store's lock).
+  // An entry lives only that long, so the table stays as small as the in-flight set.
+  size_t StoreLocksInUse() const;
 
   // The per-tenant artifact namespace: config.artifact_root / <tenant> / <app>. Tenant
   // names are restricted to [A-Za-z0-9._-] (no separators, no "..", must be non-empty)
@@ -110,13 +119,20 @@ class Engine {
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<smt::SolverCounterSink> counters_;
   std::unique_ptr<verifier::VerdictCache> verdicts_;
-  // Serializes verify stages: the pool supports one ParallelFor at a time.
-  std::mutex run_mutex_;
 
-  // The verify stage on already-resolved options; the caller holds run_mutex_.
-  verifier::RestrictionReport VerifyLocked(const app::App& app,
-                                           const analyzer::AnalysisResult& analysis,
-                                           const PipelineOptions& resolved);
+  // One store's lock, shared by every run that holds or waits for it.
+  struct StoreLock {
+    std::mutex mu;
+    size_t users = 0;  // guarded by store_locks_mu_
+  };
+  class StoreGuard;
+  mutable std::mutex store_locks_mu_;
+  std::unordered_map<std::string, std::unique_ptr<StoreLock>> store_locks_;
+
+  // The verify stage on already-resolved options.
+  verifier::RestrictionReport VerifyResolved(const app::App& app,
+                                             const analyzer::AnalysisResult& analysis,
+                                             const PipelineOptions& resolved);
 };
 
 }  // namespace noctua

@@ -16,9 +16,10 @@
 //                   answered 503 immediately (fail-fast: the client retries or sheds
 //                   load; the daemon never builds an unbounded backlog).
 //   worker threads  pop admitted requests and run them on the shared Engine. The
-//                   in-flight cap is the worker count; the Engine serializes its verify
-//                   stage internally, so workers mostly pipeline analysis against
-//                   verification.
+//                   in-flight cap is the worker count, and in-flight requests really
+//                   run at once: their pair loops share the engine's pool, and the
+//                   engine serializes only two requests for the same (tenant, app)
+//                   store.
 //
 // Endpoints:
 //

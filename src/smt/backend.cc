@@ -45,6 +45,11 @@ void SolverCounterSink::AddShared(const SolverStats& stats) {
   }
 }
 
+void SolverCounterSink::Add(const SolverSharedCounts& counts) {
+  reuse_hits_.fetch_add(counts.incremental_reuse_hits, std::memory_order_relaxed);
+  symmetry_pruned_.fetch_add(counts.symmetry_pruned, std::memory_order_relaxed);
+}
+
 namespace {
 
 // Leaked, never destroyed: worker threads may still accumulate during static teardown.

@@ -118,17 +118,17 @@ class SolverBackend {
 std::unique_ptr<SolverBackend> MakeBackend(const SolverOptions& options);
 
 // Optimization tallies, accumulated by the model finder at the end of each Check. The
-// verifier snapshots them before/after a run and reports the deltas.
+// verifier counts each run's into a run-local sink and folds them into its caller's.
 struct SolverSharedCounts {
   uint64_t incremental_reuse_hits = 0;  // root assertions served from a ground cache
   uint64_t symmetry_pruned = 0;         // candidate values pruned by symmetry reduction
 };
 
-// Where one run's solver tallies land. Historically these were process-wide statics,
-// which a long-lived multi-tenant engine would cross-contaminate: two concurrent runs
+// Where solver tallies land. Historically these were process-wide statics, which a
+// long-lived multi-tenant engine would cross-contaminate: two concurrent runs
 // snapshotting before/after deltas of one shared set of atomics read each other's work.
-// A sink is now an owned object — each noctua::Engine holds one — installed per worker
-// task through ScopedSolverCounterSink.
+// A sink is now an owned object — each noctua::Engine holds one, and each verifier run
+// counts into its own, installed per worker task through ScopedSolverCounterSink.
 class SolverCounterSink {
  public:
   SolverCounterSink() = default;
@@ -143,6 +143,8 @@ class SolverCounterSink {
   }
 
   void AddShared(const SolverStats& stats);
+  // Folds in totals counted elsewhere — a run's own sink, into its engine's at run end.
+  void Add(const SolverSharedCounts& counts);
 
  private:
   std::atomic<uint64_t> reuse_hits_{0};
@@ -156,7 +158,7 @@ SolverCounterSink& ProcessSolverCounters();
 SolverCounterSink* CurrentSolverCounterSink();
 
 // Installs `sink` as the calling thread's accumulation target for its lifetime; restores
-// the previous sink on destruction. The verifier's pair loop installs its engine's sink
+// the previous sink on destruction. The verifier's pair loop installs its run's sink
 // inside every worker task. Passing nullptr is a no-op install (the current sink stays).
 class ScopedSolverCounterSink {
  public:

@@ -32,20 +32,23 @@ std::optional<VerdictCache::Entry> VerdictCache::LookupEntry(const VerdictKey& k
   return it->second;
 }
 
-void VerdictCache::Insert(const VerdictKey& key, CheckOutcome outcome) {
+size_t VerdictCache::Insert(const VerdictKey& key, CheckOutcome outcome) {
   if (outcome == CheckOutcome::kTimeout) {
-    return;
+    return 0;
   }
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lk(shard.mu);
-  if (InsertLocked(shard, key, Entry{outcome, false})) {
+  size_t evicted = 0;
+  if (InsertLocked(shard, key, Entry{outcome, false}, &evicted)) {
     computed_.fetch_add(1, std::memory_order_relaxed);
   }
+  return evicted;
 }
 
 // Inserts under the shard lock, evicting FIFO when a bounded shard is at its share of
 // the capacity. Duplicate keys keep the existing entry (and do not re-enter the FIFO).
-bool VerdictCache::InsertLocked(Shard& shard, const VerdictKey& key, Entry entry) {
+bool VerdictCache::InsertLocked(Shard& shard, const VerdictKey& key, Entry entry,
+                                size_t* evicted) {
   if (!shard.map.emplace(key, entry).second) {
     return false;
   }
@@ -58,6 +61,7 @@ bool VerdictCache::InsertLocked(Shard& shard, const VerdictKey& key, Entry entry
     shard.map.erase(shard.fifo.front());
     shard.fifo.pop_front();
     ++shard.evictions;
+    ++*evicted;
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
   return true;
@@ -151,10 +155,11 @@ bool VerdictCache::LoadFromFile(const std::string& path) {
   if (!r.ok() || !r.AtEnd()) {
     return false;
   }
+  size_t evicted = 0;
   for (auto& [key, outcome] : entries) {
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lk(shard.mu);
-    InsertLocked(shard, key, Entry{outcome, true});
+    InsertLocked(shard, key, Entry{outcome, true}, &evicted);
   }
   return true;
 }

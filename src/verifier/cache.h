@@ -94,8 +94,9 @@ class VerdictCache {
   std::optional<CheckOutcome> Lookup(const VerdictKey& key);
   // Like Lookup, but exposes provenance.
   std::optional<Entry> LookupEntry(const VerdictKey& key);
-  // Caches a computed verdict. A kTimeout is not a verdict and is dropped.
-  void Insert(const VerdictKey& key, CheckOutcome outcome);
+  // Caches a computed verdict. A kTimeout is not a verdict and is dropped. Returns how
+  // many entries a bounded cache evicted to make room.
+  size_t Insert(const VerdictKey& key, CheckOutcome outcome);
 
   // Persists every entry (sorted by key, so equal caches produce byte-identical files).
   // Returns false if the file cannot be written.
@@ -144,8 +145,8 @@ class VerdictCache {
     uint64_t evictions = 0;
   };
   Shard& ShardFor(const VerdictKey& key) { return shards_[key.digest.h1 % kShards]; }
-  // Returns true when the key was new.
-  bool InsertLocked(Shard& shard, const VerdictKey& key, Entry entry);
+  // Returns true when the key was new; adds the entries it evicted to `*evicted`.
+  bool InsertLocked(Shard& shard, const VerdictKey& key, Entry entry, size_t* evicted);
 
   const size_t capacity_;
   Shard shards_[kShards];

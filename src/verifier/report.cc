@@ -199,25 +199,23 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
                      [&](size_t a, size_t b) { return jobs[a].cost < jobs[b].cost; });
   }
 
-  // A caller-provided store makes verdicts persistent across runs; its counters
-  // accumulate, so report stats are computed as deltas from this snapshot. Only the
-  // run-local cache may be bounded — evicting from a store would turn replayable
-  // verdicts into cold misses on the next warm run. Keys fold in the verdict-deciding
-  // checker options (see VerdictKeyer).
+  // A caller-provided store makes verdicts persistent across runs, and it (like the
+  // pool and the caller's solver sink) may serve other runs at the same time, so every
+  // per-run count is taken inside this run rather than as a delta of shared totals.
+  // Only the run-local cache may be bounded — evicting from a store would turn
+  // replayable verdicts into cold misses on the next warm run. Keys fold in the
+  // verdict-deciding checker options (see VerdictKeyer).
   const VerdictKeyer keyer(checker.options());
-  // This run's tallies accumulate into the caller's sink when one is provided (an
-  // engine-owned sink keeps concurrent runs from reading each other's deltas), else
-  // into the process-wide sink exactly as before.
-  smt::SolverCounterSink* sink =
-      parallel.counters != nullptr ? parallel.counters : &smt::ProcessSolverCounters();
-  const smt::SolverSharedCounts shared_before = sink->Shared();
+  // This run's solver tallies, folded into the caller's sink (or the process-wide one)
+  // after the pair loop.
+  smt::SolverCounterSink run_sink;
 
   VerdictCache local_cache(parallel.store != nullptr ? 0 : parallel.cache_capacity);
   VerdictCache* cache = parallel.store != nullptr ? parallel.store : &local_cache;
-  const uint64_t hits_before = cache->hits();
-  const uint64_t misses_before = cache->misses();
-  const uint64_t evictions_before = cache->evictions();
   const bool use_cache = parallel.cache;
+  std::atomic<uint64_t> cache_hits{0};
+  std::atomic<uint64_t> cache_misses{0};
+  std::atomic<uint64_t> cache_evictions{0};
   std::atomic<uint64_t> prefiltered_count{0};
   std::atomic<uint64_t> solver_checks{0};
   std::atomic<uint64_t> solver_nodes{0};
@@ -244,6 +242,7 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
         hit = cache->LookupEntry(key);
         probe.Arg("hit", hit.has_value() ? 1 : 0);
       }
+      (hit ? cache_hits : cache_misses).fetch_add(1, std::memory_order_relaxed);
       if (hit) {
         cs->cache_hit = true;
         cs->replayed = hit->replayed;
@@ -273,7 +272,7 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
     solver_checks.fetch_add(1, std::memory_order_relaxed);
     solver_nodes.fetch_add(cs->solver_nodes, std::memory_order_relaxed);
     if (use_cache) {
-      cache->Insert(key, o);
+      cache_evictions.fetch_add(cache->Insert(key, o), std::memory_order_relaxed);
     }
     return o;
   };
@@ -285,7 +284,7 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
 
   auto run_job = [&](size_t k) {
     // Route every solver accumulation this task performs to this run's sink.
-    smt::ScopedSolverCounterSink scoped_sink(sink);
+    smt::ScopedSolverCounterSink scoped_sink(&run_sink);
     obs::ScopedTraceContext trace_scope(trace_ctx);
     const PairJob& job = jobs[k];
     const PathFacts& fp = facts[job.i];
@@ -369,8 +368,7 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
   };
 
   // Either borrow the caller's long-lived pool (engine mode) or spin up a run-local one.
-  // A borrowed pool's lifetime totals span many runs, so stats are snapshotted around
-  // the ParallelFor and reported as deltas.
+  // The pool reports this batch's own stats even while other runs share it.
   std::optional<ThreadPool> local_pool;
   ThreadPool* pool = parallel.pool;
   if (pool == nullptr) {
@@ -378,27 +376,27 @@ RestrictionReport AnalyzeRestrictions(const Checker& checker,
     local_pool.emplace(threads);
     pool = &*local_pool;
   }
-  const ThreadPool::Stats pool_before = pool->stats();
-  pool->ParallelFor(jobs.size(), run_job, parallel.cheapest_first ? &dispatch : nullptr);
+  const ThreadPool::Stats pool_stats =
+      pool->ParallelFor(jobs.size(), run_job, parallel.cheapest_first ? &dispatch : nullptr);
 
   report.stats.threads_used = pool->threads();
   report.stats.pairs = jobs.size();
   report.stats.prefiltered = prefiltered_count.load();
   report.stats.solver_checks = solver_checks.load();
-  report.stats.cache_hits = cache->hits() - hits_before;
-  report.stats.cache_misses = cache->misses() - misses_before;
+  report.stats.cache_hits = cache_hits.load();
+  report.stats.cache_misses = cache_misses.load();
   report.stats.replayed = replayed_queries.load();
   report.stats.paranoia_rechecks = paranoia_rechecks.load();
   report.stats.solver_nodes = solver_nodes.load();
-  ThreadPool::Stats pool_stats = pool->stats();
-  report.stats.pool_tasks = pool_stats.tasks - pool_before.tasks;
-  report.stats.pool_steals = pool_stats.steals - pool_before.steals;
-  report.stats.cache_evictions = cache->evictions() - evictions_before;
+  report.stats.pool_tasks = pool_stats.tasks;
+  report.stats.pool_steals = pool_stats.steals;
+  report.stats.cache_evictions = cache_evictions.load();
   {
-    const smt::SolverSharedCounts after = sink->Shared();
-    report.stats.incremental_reuse_hits =
-        after.incremental_reuse_hits - shared_before.incremental_reuse_hits;
-    report.stats.symmetry_pruned = after.symmetry_pruned - shared_before.symmetry_pruned;
+    const smt::SolverSharedCounts shared = run_sink.Shared();
+    report.stats.incremental_reuse_hits = shared.incremental_reuse_hits;
+    report.stats.symmetry_pruned = shared.symmetry_pruned;
+    (parallel.counters != nullptr ? *parallel.counters : smt::ProcessSolverCounters())
+        .Add(shared);
   }
   for (const VerdictCache::ShardStats& s : cache->PerShardStats()) {
     report.stats.cache_shards.push_back(

@@ -58,13 +58,12 @@ struct ParallelOptions {
   // persistent store must not silently drop verdicts it is expected to replay.
   size_t cache_capacity = 0;
   // Borrowed worker pool to run the pair loop on instead of constructing a run-local
-  // one. The caller must guarantee exclusive use for the duration of the run (a
-  // ThreadPool supports one ParallelFor at a time); pool-task stats are reported as
-  // before/after deltas. When set, `threads` is ignored. nullptr = run-local pool.
+  // one. Other runs may use the same pool at the same time; pool-task stats are this
+  // run's batch alone. When set, `threads` is ignored. nullptr = run-local pool.
   ThreadPool* pool = nullptr;
-  // Where this run's solver tallies (reuse hits, symmetry pruning) are accumulated and
-  // delta'd from. nullptr = the process-wide sink, which preserves the historical
-  // single-run behavior but cross-contaminates concurrent runs.
+  // Where this run's solver tallies (reuse hits, symmetry pruning) are added once the
+  // run ends. The run counts them in a sink of its own, so the report's figures never
+  // include a concurrent run's work. nullptr = the process-wide sink.
   smt::SolverCounterSink* counters = nullptr;
 };
 
@@ -94,9 +93,10 @@ struct PairVerdict {
   }
 };
 
-// Aggregate execution statistics for one AnalyzeRestrictions run. Cache counters are
-// deltas over this run (a persistent store accumulates across runs; the report
-// snapshots its counters before and after).
+// Aggregate execution statistics for one AnalyzeRestrictions run. Every count is this
+// run's own, taken inside the run, even when its store, pool or solver sink serves
+// other runs at the same time (`cache_shards` is the one exception: a snapshot of the
+// cache object's lifetime totals).
 struct ReportStats {
   int threads_used = 1;
   uint64_t pairs = 0;            // pairs examined
@@ -117,9 +117,9 @@ struct ReportStats {
   // Name of the solver backend every query of this run went through; always "dfs".
   std::string solver_backend = "dfs";
 
-  // Solver-optimization tallies for this run (deltas of the run's counter sink, see
-  // smt/backend.h): grounding roots served from the model finder's ground cache, and
-  // work removed by lex-leader symmetry reduction.
+  // Solver-optimization tallies for this run (its own counter sink, see smt/backend.h):
+  // grounding roots served from the model finder's ground cache, and work removed by
+  // lex-leader symmetry reduction.
   uint64_t incremental_reuse_hits = 0;
   uint64_t symmetry_pruned = 0;
 

@@ -3,13 +3,16 @@
 // artifact store with its fail-closed loader; and O(change) re-verification — a warm
 // run must produce the byte-identical restriction set of a cold run while replaying
 // every verdict the edit did not touch.
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -836,6 +839,72 @@ TEST(IncrementalTest, PureReplayWritesNothingAndAnEditRewritesWhatChanged) {
   EXPECT_EQ(next.pairs_computed, 0u);
   ExpectUnchangedPairsReplayed(next.run.restrictions, {});
   EXPECT_EQ(VerdictLines(next.run.restrictions), VerdictLines(edit.run.restrictions));
+}
+
+// Runs on one engine lock only their own store: two runs on the same store take turns,
+// runs on different stores do not wait, and the lock table forgets a store once no run
+// holds or waits for its lock.
+
+TEST(IncrementalConcurrencyTest, TwoRunsOnOneStoreSerializeAndLeaveItWarm) {
+  std::string store = TempStore("same_store");
+  Engine engine{EngineConfig{}};
+  std::vector<IncrementalResult> results(2);
+  std::latch start(2);
+  std::vector<std::thread> threads;
+  for (size_t k = 0; k < results.size(); ++k) {
+    threads.emplace_back([&, k] {
+      app::App a = MakeLibraryApp(LibraryConfig{});
+      start.arrive_and_wait();
+      results[k] = engine.RunIncremental(a, store, Opts());
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  // Whichever run got the store first ran cold and saved it; the other waited, loaded
+  // that store and replayed every pair.
+  ASSERT_NE(results[0].cold, results[1].cold);
+  const IncrementalResult& second = results[0].cold ? results[1] : results[0];
+  EXPECT_EQ(second.pairs_computed, 0u);
+  EXPECT_TRUE(results[0].artifacts_saved && results[1].artifacts_saved);
+  EXPECT_EQ(VerdictLines(results[0].run.restrictions),
+            VerdictLines(results[1].run.restrictions));
+
+  IncrementalResult third =
+      engine.RunIncremental(MakeLibraryApp(LibraryConfig{}), store, Opts());
+  EXPECT_FALSE(third.cold);
+  EXPECT_EQ(third.pairs_computed, 0u);
+  EXPECT_EQ(VerdictLines(third.run.restrictions), VerdictLines(results[0].run.restrictions));
+  EXPECT_EQ(engine.StoreLocksInUse(), 0u);
+}
+
+TEST(IncrementalConcurrencyTest, StoreLockTableIsEmptyAfterABurstOfFreshTenants) {
+  EngineConfig config;
+  config.threads = 2;
+  config.artifact_root = TempStore("tenant_burst");
+  Engine engine(config);
+  const int callers = 4;
+  const int per_caller = 6;
+  std::latch start(callers);
+  std::vector<std::thread> threads;
+  std::atomic<int> cold_runs{0};
+  for (int c = 0; c < callers; ++c) {
+    threads.emplace_back([&, c] {
+      app::App a = MakeLibraryApp(LibraryConfig{});
+      start.arrive_and_wait();
+      for (int i = 0; i < per_caller; ++i) {
+        std::string tenant = "fresh" + std::to_string(c) + "_" + std::to_string(i);
+        IncrementalResult r =
+            engine.RunIncremental(a, engine.TenantStoreDir(tenant, a.name()), Opts());
+        cold_runs += r.cold ? 1 : 0;
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(cold_runs.load(), callers * per_caller);
+  EXPECT_EQ(engine.StoreLocksInUse(), 0u);
 }
 
 TEST(IncrementalTest, VersionOneStoreReadsColdAndIsRewrittenAtVersionTwo) {

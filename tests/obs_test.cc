@@ -8,12 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <latch>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/apps/apps.h"
@@ -182,6 +186,46 @@ TEST(Gating, NothingRecordsWithoutCollector) {
   EXPECT_EQ(collector.counter(Counter::kPairsChecked), 0u);
   EXPECT_EQ(collector.histogram(Hist::kPairMicros).count, 0u);
   EXPECT_TRUE(collector.events().empty());
+}
+
+TEST(Gating, TryInstallYieldsToAnInstalledCollector) {
+  {
+    Collector owner(ObsOptions{.enabled = true});
+    EXPECT_EQ(Collector::TryInstall(ObsOptions{.enabled = true}), nullptr);
+    // The loser's probes land in the owner's session.
+    Add(Counter::kPairsChecked, 3);
+    owner.Stop();
+    EXPECT_EQ(owner.counter(Counter::kPairsChecked), 3u);
+  }
+  std::unique_ptr<Collector> mine = Collector::TryInstall(ObsOptions{.enabled = true});
+  ASSERT_NE(mine, nullptr);
+  EXPECT_TRUE(Enabled());
+  EXPECT_TRUE(Active());
+  mine.reset();
+  EXPECT_FALSE(Active());
+}
+
+TEST(Gating, RacingTryInstallsYieldExactlyOneCollector) {
+  for (int round = 0; round < 20; ++round) {
+    const int racers = 4;
+    std::latch start(racers);
+    std::latch tried(racers);  // every racer holds its result until all have tried
+    std::atomic<int> winners{0};
+    std::vector<std::thread> threads;
+    for (int r = 0; r < racers; ++r) {
+      threads.emplace_back([&] {
+        start.arrive_and_wait();
+        std::unique_ptr<Collector> c = Collector::TryInstall(ObsOptions{.enabled = true});
+        winners += c != nullptr ? 1 : 0;
+        tried.arrive_and_wait();
+      });
+    }
+    for (std::thread& t : threads) {
+      t.join();
+    }
+    EXPECT_EQ(winners.load(), 1) << "round " << round;
+    EXPECT_FALSE(Active());
+  }
 }
 
 TEST(Gating, EmptyDynamicNameIsInactive) {

@@ -4,8 +4,10 @@
 // cheapest-first on/off) — the redesign must change how fast verdicts are produced,
 // never which verdicts.
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <latch>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -137,6 +139,121 @@ TEST(ThreadPoolTest, PoolDrivenAndDestroyedOffTheOwningThread) {
   });
   driver.join();
   EXPECT_EQ(ran.load(), 32);
+}
+
+// Concurrent batches: many threads share one pool, each ParallelFor a task group of its
+// own. Run repeatedly under TSan in CI.
+
+// Spins (with short sleeps) until `flag` is set or `timeout` passes; returns the flag.
+bool WaitFor(const std::atomic<bool>& flag,
+             std::chrono::milliseconds timeout = std::chrono::seconds(5)) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!flag.load()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return true;
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersRunEveryIndexOfEveryBatchOnce) {
+  ThreadPool pool(4);
+  const ThreadPool::Stats before = pool.stats();
+  const int callers = 4;
+  const int rounds = 20;
+  std::vector<std::vector<std::atomic<int>>> counts(callers);
+  std::vector<ThreadPool::Stats> totals(callers);
+  std::latch start(callers);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < callers; ++c) {
+    counts[c] = std::vector<std::atomic<int>>(100 + 37 * c);
+    threads.emplace_back([&, c] {
+      start.arrive_and_wait();
+      for (int r = 0; r < rounds; ++r) {
+        ThreadPool::Stats s = pool.ParallelFor(counts[c].size(), [&](size_t i) {
+          counts[c][i].fetch_add(1, std::memory_order_relaxed);
+        });
+        EXPECT_EQ(s.tasks, counts[c].size());
+        totals[c].tasks += s.tasks;
+        totals[c].steals += s.steals;
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  ThreadPool::Stats sum;
+  for (int c = 0; c < callers; ++c) {
+    for (size_t i = 0; i < counts[c].size(); ++i) {
+      ASSERT_EQ(counts[c][i].load(), rounds) << "caller " << c << " index " << i;
+    }
+    sum.tasks += totals[c].tasks;
+    sum.steals += totals[c].steals;
+  }
+  // Per-batch stats partition the pool's lifetime totals exactly.
+  const ThreadPool::Stats after = pool.stats();
+  EXPECT_EQ(after.tasks - before.tasks, sum.tasks);
+  EXPECT_EQ(after.steals - before.steals, sum.steals);
+}
+
+TEST(ThreadPoolTest, ConcurrentBatchesShareWorkers) {
+  // One worker plus the callers. Batch A's caller blocks in A's task 0 and its worker
+  // sits in A's task 1 until batch B is running; after that the worker must move to B
+  // rather than start A's task 3, which also waits for B to get a worker. B's caller
+  // cannot finish B alone: its task waits until some other thread has run a B task. A
+  // pool that lets a worker serve only one batch until it drains times out here.
+  ThreadPool pool(2);
+  std::atomic<bool> a_started{false};
+  std::atomic<bool> b_started{false};
+  std::atomic<bool> b_helped{false};
+  std::atomic<bool> a_ok{true};
+  std::atomic<bool> b_ok{true};
+  std::thread a_caller([&] {
+    pool.ParallelFor(4, [&](size_t i) {
+      if (i == 0) {
+        a_started = true;
+      }
+      if (i == 0 || i == 3) {
+        a_ok = WaitFor(b_helped) && a_ok;
+      } else if (i == 1) {
+        a_ok = WaitFor(b_started) && a_ok;
+      }
+    });
+  });
+  EXPECT_TRUE(WaitFor(a_started));
+  std::thread b_caller([&] {
+    const std::thread::id caller = std::this_thread::get_id();
+    pool.ParallelFor(2, [&](size_t) {
+      if (std::this_thread::get_id() == caller) {
+        b_started = true;
+        b_ok = WaitFor(b_helped) && b_ok;
+      } else {
+        b_helped = true;
+      }
+    });
+  });
+  a_caller.join();
+  b_caller.join();
+  EXPECT_TRUE(b_helped.load());
+  EXPECT_TRUE(a_ok.load());
+  EXPECT_TRUE(b_ok.load());
+}
+
+TEST(ThreadPoolTest, NestedParallelForFromInsideATaskCompletes) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> inner(8 * 16);
+  ThreadPool::Stats outer = pool.ParallelFor(8, [&](size_t i) {
+    ThreadPool::Stats s = pool.ParallelFor(16, [&](size_t j) {
+      inner[i * 16 + j].fetch_add(1, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(s.tasks, 16u);
+  });
+  EXPECT_EQ(outer.tasks, 8u);
+  for (size_t k = 0; k < inner.size(); ++k) {
+    EXPECT_EQ(inner[k].load(), 1) << "inner task " << k;
+  }
+  EXPECT_EQ(pool.stats().tasks, 8u + 8u * 16u);
 }
 
 // ------------------------------------------------------------------- canonical fingerprint
@@ -452,6 +569,114 @@ TEST(EngineTest, ResolveOptionsPinsAutoKnobsAndInjectsEngineState) {
   PipelineOptions kept = engine.ResolveOptions(custom);
   EXPECT_EQ(kept.parallel.store, &mine);
   EXPECT_EQ(kept.parallel.pool, nullptr);
+}
+
+// Concurrent runs on one engine: no engine-wide lock, so runs overlap on the shared pool
+// and each must still report exactly what it reports alone.
+
+// The schedule-independent figures of a run: at width 1 all of these are exact.
+std::vector<uint64_t> ExactStats(const verifier::ReportStats& st) {
+  return {st.pairs,           st.prefiltered,    st.solver_checks,
+          st.cache_hits,      st.cache_misses,   st.cache_evictions,
+          st.replayed,        st.solver_nodes,   st.pool_tasks,
+          st.pool_steals,     st.pairs_computed, st.pairs_replayed,
+          st.incremental_reuse_hits, st.symmetry_pruned};
+}
+
+// Runs fn(0) and fn(1) on two threads released together.
+template <typename Fn>
+void RunOverlapped(Fn fn) {
+  std::latch start(2);
+  std::thread t0([&] {
+    start.arrive_and_wait();
+    fn(0);
+  });
+  std::thread t1([&] {
+    start.arrive_and_wait();
+    fn(1);
+  });
+  t0.join();
+  t1.join();
+}
+
+TEST(EngineConcurrencyTest, OverlappingRunsReportTheirSoloStats) {
+  // Width 1, so every figure is deterministic; two tenants' stores, so cache sharing
+  // between the apps cannot differ between the solo and the overlapped runs.
+  EngineConfig config;
+  config.threads = 1;
+  config.artifact_root = ::testing::TempDir() + "/noctua_concurrent_stats";
+  std::filesystem::remove_all(config.artifact_root);
+  const std::vector<app::App> apps = {apps::MakeCoursewareApp(), apps::MakeBlogApp()};
+  IncrementalOptions options;
+  options.pipeline.checker.solver.budget.deterministic = true;
+
+  auto stats_of = [&](Engine& engine, const std::string& tenant, size_t k) {
+    return engine.RunIncremental(apps[k], engine.TenantStoreDir(tenant, apps[k].name()), options)
+        .run.restrictions.stats;
+  };
+
+  Engine solo(config);
+  std::vector<verifier::ReportStats> alone;
+  for (size_t k = 0; k < apps.size(); ++k) {
+    alone.push_back(stats_of(solo, "solo", k));
+  }
+
+  Engine shared(config);
+  std::vector<verifier::ReportStats> together(apps.size());
+  RunOverlapped([&](size_t k) { together[k] = stats_of(shared, "t" + std::to_string(k), k); });
+  uint64_t reuse = 0;
+  for (size_t k = 0; k < apps.size(); ++k) {
+    EXPECT_EQ(ExactStats(together[k]), ExactStats(alone[k])) << apps[k].name();
+    reuse += together[k].incremental_reuse_hits;
+  }
+  // The engine's sink holds exactly the sum of what the runs reported.
+  EXPECT_GT(reuse, 0u);
+  EXPECT_EQ(shared.counters().Shared().incremental_reuse_hits, reuse);
+}
+
+TEST(EngineConcurrencyTest, TwoTenantsOverlapOnOneEngineWithTheirSoloRestrictionSets) {
+  EngineConfig config;
+  config.threads = 4;
+  config.artifact_root = ::testing::TempDir() + "/noctua_concurrent_tenants";
+  std::filesystem::remove_all(config.artifact_root);
+  const std::vector<app::App> apps = {apps::MakeSmallBankApp(), apps::MakeCoursewareApp()};
+  std::vector<std::vector<std::string>> solo;
+  for (const app::App& a : apps) {
+    solo.push_back(Pipeline::Run(a).restrictions.RestrictedPairNames());
+  }
+  Engine engine(config);
+  std::vector<IncrementalResult> results(apps.size());
+  RunOverlapped([&](size_t k) {
+    results[k] = engine.RunIncremental(
+        apps[k], engine.TenantStoreDir("tenant" + std::to_string(k), apps[k].name()));
+  });
+  for (size_t k = 0; k < apps.size(); ++k) {
+    EXPECT_EQ(results[k].run.restrictions.RestrictedPairNames(), solo[k]) << apps[k].name();
+    EXPECT_EQ(results[k].run.restrictions.stats.pool_tasks,
+              results[k].run.restrictions.pairs.size());
+  }
+  EXPECT_EQ(engine.StoreLocksInUse(), 0u);
+}
+
+TEST(EngineConcurrencyTest, ConcurrentObservedRunsDoNotAbort) {
+  // Both runs ask for a report; only one can own the process's recording session. The
+  // other records into it or reports nothing — it must not die installing a second one.
+  Engine engine{EngineConfig{}};
+  const app::App bank = apps::MakeSmallBankApp();
+  const std::vector<std::string> expected =
+      Pipeline::Run(bank).restrictions.RestrictedPairNames();
+  PipelineOptions options;
+  options.obs.enabled = true;
+  options.parallel.cache_capacity = 1024;  // run-local caches: both runs really solve
+  for (int round = 0; round < 5; ++round) {
+    std::vector<PipelineResult> results(2);
+    RunOverlapped([&](size_t k) { results[k] = engine.Run(bank, options); });
+    for (const PipelineResult& r : results) {
+      EXPECT_EQ(r.restrictions.RestrictedPairNames(), expected);
+    }
+    EXPECT_TRUE(results[0].has_report || results[1].has_report);
+  }
+  EXPECT_FALSE(obs::Active());
 }
 
 }  // namespace
